@@ -6,15 +6,18 @@ from __future__ import annotations
 import hashlib
 import html
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
+from functools import partial
 from html.parser import HTMLParser
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .catalog import DimensionKind, ProductCatalog, Value
-from .heuristics import ItemKind, PublicationItem, RangeSummary
+from . import heuristics
+from .catalog import DimensionKind, InventorySnapshot, ProductCatalog, Value
+from .heuristics import ItemKind, PublicationItem, RangeSummary, summarize_dimension
 
 SCHEMA_CONTEXT = "https://schema.org"
 IN_STOCK = "https://schema.org/InStock"
@@ -69,7 +72,6 @@ def elevate(item: PublicationItem, endpoint_base: str,
         input_names = catalog.dimension_names
     else:
         input_names = [d.name for d in catalog.dimensions if d.name not in item.fixed]
-    from .heuristics import summarize_dimension
     params = tuple(
         InputParam(name, summarize_dimension(catalog.dimension(name)), required=True)
         for name in input_names
@@ -96,84 +98,163 @@ def dom_anchor_id(item: PublicationItem) -> str:
     return f"p-{digest.hexdigest()}"
 
 
-def _money(amount: Decimal) -> str:
-    return f"{amount:.2f}"
+def _money(amount: Decimal) -> bytes:
+    return f"{amount:.2f}".encode("ascii")
 
 
-def _range_property(name: str, summary: RangeSummary) -> dict:
-    prop: dict = {"@type": "PropertyValue", "name": name}
+def _json(value) -> bytes:
+    """A JSON scalar or list of scalars, written as it appears inside a
+    canonical document: no whitespace, UTF-8."""
+    return json.dumps(value, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def _describe_range(summary: RangeSummary) -> str:
     if summary.kind is DimensionKind.CATEGORICAL:
-        prop["value"] = list(summary.values)
-    else:
-        prop["minValue"] = summary.min_value
-        prop["maxValue"] = summary.max_value
-        prop["valueReference"] = {"@type": "QuantitativeValue", "value": summary.count}
-    return prop
+        return "any of: " + ", ".join(str(v) for v in summary.values)
+    return f"{summary.min_value} to {summary.max_value} ({summary.count} options)"
 
 
-def _action_document(service: ServiceDescription) -> dict:
-    action: dict = {
-        "@type": "SearchAction",
-        "target": {"@type": "EntryPoint", "urlTemplate": service.target_url_template},
-        "result": {"@type": "Offer"},
+def _fixed_property(name: bytes, value: Value) -> bytes:
+    return (b'{"@type":"PropertyValue","name":' + name
+            + b',"value":' + _json(value) + b"}")
+
+
+def _row(label: str, value) -> bytes:
+    """A visible <dt>/<dd> pair; `label` is already escaped."""
+    return f"<dt>{label}</dt><dd>{html.escape(str(value))}</dd>".encode("utf-8")
+
+
+class _Memo(dict):
+    """A dict that builds a missing entry with `build(key)` and keeps it."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+class FragmentTable:
+    """The pre-serialized pieces of one catalog's annotations and visible
+    blocks. A piece is built on first use and reused afterwards, so an item
+    costs one lookup per dimension instead of a JSON encode and an HTML escape.
+
+    JSON objects are written with their keys in sorted order, which is the
+    order `json.dumps(sort_keys=True)` gives: the document is
+    @context @id @type additionalProperty description image name offers, the
+    offer @type areaServed availability [potentialAction] price priceCurrency
+    (or priceSpecification)."""
+
+    def __init__(self, catalog: ProductCatalog):
+        currency = _json(catalog.pricing.currency)
+        self.doc_open = b'{"@context":' + _json(SCHEMA_CONTEXT) + b',"@id":"#'
+        self.doc_properties = b'","@type":"Product","additionalProperty":['
+        self.doc_offer = (
+            b'],"description":' + _json(catalog.description)
+            + b',"image":' + _json(catalog.image_url)
+            + b',"name":' + _json(catalog.product_name)
+            + b',"offers":{"@type":"Offer","areaServed":' + _json(catalog.area_served)
+            + b',"availability":')
+        self.in_stock = _json(IN_STOCK) + b","
+        self.out_of_stock = _json(OUT_OF_STOCK) + b","
+        self.price_tail = b'","priceCurrency":' + currency + b"}}"
+        self.price_range_tail = b'","priceCurrency":' + currency + b"}}}"
+        # (dimension name, value -> fragment) in declared order; the range
+        # fragments are keyed by (dimension name, RangeSummary).
+        self.properties = [(d.name, _Memo(partial(_fixed_property, _json(d.name))))
+                           for d in catalog.dimensions]
+        self.range_properties = _Memo(lambda key: _range_property(*key))
+
+        labels = {d.name: html.escape(d.display_label or d.name)
+                  for d in catalog.dimensions}
+        self.rows = [(d.name, _Memo(partial(_row, labels[d.name])))
+                     for d in catalog.dimensions]
+        self.range_rows = _Memo(lambda key: _row(labels[key[0]], _describe_range(key[1])))
+        name = html.escape(catalog.product_name)
+        self.titles = {kind: f"<h2>{name} ({kind.value})</h2>\n".encode("utf-8")
+                       for kind in ItemKind}
+        self.price_suffix = f" {catalog.pricing.currency}".encode("utf-8")
+        # Prices and service descriptions repeat across items; build each
+        # distinct one once.
+        self.money = _Memo(_money)
+        self.actions = _Memo(_action_fragment)
+
+
+def _range_property(name: str, summary: RangeSummary) -> bytes:
+    head = b'{"@type":"PropertyValue",'
+    if summary.kind is DimensionKind.CATEGORICAL:
+        return (head + b'"name":' + _json(name)
+                + b',"value":' + _json(list(summary.values)) + b"}")
+    return (head + b'"maxValue":' + _json(summary.max_value)
+            + b',"minValue":' + _json(summary.min_value)
+            + b',"name":' + _json(name)
+            + b',"valueReference":{"@type":"QuantitativeValue","value":'
+            + _json(summary.count) + b"}}")
+
+
+def _action_fragment(service: ServiceDescription) -> bytes:
+    """The offer's `"potentialAction":{...},` member. Its keys depend on the
+    input names, so they are sorted here."""
+    members = {
+        "@type": b'"SearchAction"',
+        "result": b'{"@type":"Offer"}',
+        "target": (b'{"@type":"EntryPoint","urlTemplate":'
+                   + _json(service.target_url_template) + b"}"),
     }
     for param in service.inputs:
-        spec: dict = {
-            "@type": "PropertyValueSpecification",
-            "valueName": param.name,
-            "valueRequired": param.required,
-        }
-        action[f"{param.name}-input"] = spec
-    return action
+        members[f"{param.name}-input"] = (
+            b'{"@type":"PropertyValueSpecification","valueName":' + _json(param.name)
+            + b',"valueRequired":' + _json(param.required) + b"}")
+    body = b",".join(_json(key) + b":" + value for key, value in sorted(members.items()))
+    return b'"potentialAction":{' + body + b"},"
 
 
 def serialize(item: PublicationItem, service: Optional[ServiceDescription],
-              catalog: ProductCatalog) -> Annotation:
-    """Canonical JSON-LD bytes: sorted keys, no whitespace, UTF-8."""
+              catalog: ProductCatalog,
+              fragments: Optional[FragmentTable] = None) -> Annotation:
+    """Canonical JSON-LD bytes: sorted keys, no whitespace, UTF-8, joined from
+    the catalog's fragment table. A stream passes one table for all its
+    items; without one, a table is built for this call."""
     if item.requires_elevation and service is None:
         raise AnnotateError("elevated item serialized without a service description")
     if not item.requires_elevation and service is not None:
         raise AnnotateError("service description attached to a non-elevated item")
+    f = fragments or FragmentTable(catalog)
     anchor = dom_anchor_id(item)
-    properties = []
-    for dim in catalog.dimensions:
-        if dim.name in item.fixed:
-            properties.append({"@type": "PropertyValue", "name": dim.name,
-                               "value": item.fixed[dim.name]})
-        elif dim.name in item.ranges:
-            properties.append(_range_property(dim.name, item.ranges[dim.name]))
-    offer: dict = {
-        "@type": "Offer",
-        "areaServed": catalog.area_served,
-        "availability": IN_STOCK if item.available else OUT_OF_STOCK,
-    }
+    fixed, ranges = item.fixed, item.ranges
+    properties = [values[fixed[name]] if name in fixed
+                  else f.range_properties[name, ranges[name]]
+                  for name, values in f.properties if name in fixed or name in ranges]
     if item.exact_price is not None:
-        offer["price"] = _money(item.exact_price)
-        offer["priceCurrency"] = catalog.pricing.currency
+        price = b'"price":"' + f.money[item.exact_price] + f.price_tail
     else:
         lo, hi = item.price_range
-        offer["priceSpecification"] = {
-            "@type": "PriceSpecification",
-            "minPrice": _money(lo),
-            "maxPrice": _money(hi),
-            "priceCurrency": catalog.pricing.currency,
-        }
-    if service is not None:
-        offer["potentialAction"] = _action_document(service)
-    doc = {
-        "@context": SCHEMA_CONTEXT,
-        "@id": f"#{anchor}",
-        "@type": "Product",
-        "name": catalog.product_name,
-        "description": catalog.description,
-        "image": catalog.image_url,
-        "additionalProperty": properties,
-        "offers": offer,
-    }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                         ensure_ascii=False).encode("utf-8")
+        price = (b'"priceSpecification":{"@type":"PriceSpecification","maxPrice":"'
+                 + f.money[hi] + b'","minPrice":"' + f.money[lo] + f.price_range_tail)
+    payload = b"".join((
+        f.doc_open, anchor.encode("ascii"), f.doc_properties, b",".join(properties),
+        f.doc_offer, f.in_stock if item.available else f.out_of_stock,
+        b"" if service is None else f.actions[service], price,
+    ))
     return Annotation(item=item, jsonld=payload, byte_size=len(payload),
                       dom_anchor_id=anchor)
+
+
+def annotation_stream(catalog: ProductCatalog, heuristic: str,
+                      snapshot: Optional[InventorySnapshot],
+                      policies: Optional[heuristics.HeuristicPolicies],
+                      endpoint_base: str) -> Iterator[Annotation]:
+    """The publication pipeline: the heuristic's items, each elevated if it
+    needs a service description, serialized in page order. Lazy, so `full`
+    holds one item at a time. `publication_items` is looked up on its module
+    at call time, so wrappers bound there (per-layer tracing) see the call."""
+    fragments = FragmentTable(catalog)
+    for item in heuristics.publication_items(catalog, heuristic, snapshot, policies):
+        service = (elevate(item, endpoint_base, catalog)
+                   if item.requires_elevation else None)
+        yield serialize(item, service, catalog, fragments)
 
 
 # ---------------------------------------------------------------------------
@@ -199,36 +280,26 @@ def _page_head(catalog: ProductCatalog, title_suffix: str = "") -> bytes:
 _PAGE_TAIL = b"</body>\n</html>\n"
 
 
-def _describe_range(summary: RangeSummary) -> str:
-    if summary.kind is DimensionKind.CATEGORICAL:
-        return "any of: " + ", ".join(str(v) for v in summary.values)
-    return f"{summary.min_value} to {summary.max_value} ({summary.count} options)"
-
-
-def _visible_block(annotation: Annotation, catalog: ProductCatalog) -> bytes:
+def _visible_block(annotation: Annotation, catalog: ProductCatalog,
+                   fragments: Optional[FragmentTable] = None) -> bytes:
+    f = fragments or FragmentTable(catalog)
     item = annotation.item
-    rows = []
-    for dim in catalog.dimensions:
-        if dim.name in item.fixed:
-            text = html.escape(str(item.fixed[dim.name]))
-        else:
-            text = html.escape(_describe_range(item.ranges[dim.name]))
-        rows.append(f"<dt>{html.escape(dim.display_label or dim.name)}</dt>"
-                    f"<dd>{text}</dd>")
+    fixed = item.fixed
+    rows = [values[fixed[name]] if name in fixed
+            else f.range_rows[name, item.ranges[name]]
+            for name, values in f.rows]
     if item.exact_price is not None:
-        price_text = f"{_money(item.exact_price)} {catalog.pricing.currency}"
+        price = f.money[item.exact_price]
     else:
         lo, hi = item.price_range
-        price_text = f"{_money(lo)}&ndash;{_money(hi)} {catalog.pricing.currency}"
-    availability = "Available" if item.available else "Currently unavailable"
-    return (
-        f"<div class=\"product\" id=\"{annotation.dom_anchor_id}\">\n"
-        f"<h2>{html.escape(catalog.product_name)} ({item.kind.value})</h2>\n"
-        f"<dl>{''.join(rows)}</dl>\n"
-        f"<p class=\"price\">{price_text}</p>\n"
-        f"<p class=\"availability\">{availability}</p>\n"
-        "</div>\n"
-    ).encode("utf-8")
+        price = f.money[lo] + b"&ndash;" + f.money[hi]
+    return b"".join((
+        b'<div class="product" id="', annotation.dom_anchor_id.encode("ascii"), b'">\n',
+        f.titles[item.kind], b"<dl>", *rows, b'</dl>\n<p class="price">',
+        price, f.price_suffix, b'</p>\n<p class="availability">',
+        b"Available" if item.available else b"Currently unavailable",
+        b"</p>\n</div>\n",
+    ))
 
 
 def block_overhead(annotation: Annotation, catalog: ProductCatalog) -> int:
@@ -243,37 +314,45 @@ def page_shell_size(catalog: ProductCatalog) -> int:
 
 def render_page_stream(annotations: Iterable[Annotation], catalog: ProductCatalog,
                        write: Callable[[bytes], object]) -> int:
-    """Write a bulk page through `write` without holding it in memory.
-    Returns the total byte count."""
-    total = 0
-
-    def emit(chunk: bytes):
-        nonlocal total
-        total += len(chunk)
-        write(chunk)
-
-    emit(_page_head(catalog))
+    """Write a bulk page through `write`, one block per annotation, without
+    holding it in memory. Returns the total byte count."""
+    fragments = FragmentTable(catalog)
+    head = _page_head(catalog)
+    write(head)
+    total = len(head) + len(_PAGE_TAIL)
     for annotation in annotations:
-        emit(_SCRIPT_OPEN)
-        emit(annotation.jsonld)
-        emit(_SCRIPT_CLOSE)
-        emit(_visible_block(annotation, catalog))
-    emit(_PAGE_TAIL)
+        block = b"".join((_SCRIPT_OPEN, annotation.jsonld, _SCRIPT_CLOSE,
+                          _visible_block(annotation, catalog, fragments)))
+        write(block)
+        total += len(block)
+    write(_PAGE_TAIL)
     return total
 
 
-def render_page(annotations: List[Annotation], catalog: ProductCatalog,
+def _page_slice(annotations: Iterable[Annotation], page: int,
+                per_page: int) -> List[Annotation]:
+    """The annotations of the 1-based `page`. Reads the stream up to the end
+    of that page, or to its end when the page is out of range."""
+    it = iter(annotations)
+    start = max(0, (page - 1) * per_page)
+    skipped = sum(1 for _ in itertools.islice(it, start))
+    chunk = list(itertools.islice(it, per_page))
+    if page < 1 or (page > 1 and not chunk):
+        total = skipped + len(chunk) + sum(1 for _ in it)
+        raise PageNotFound(f"page {page} out of range 1..{max(1, -(-total // per_page))}")
+    return chunk
+
+
+def render_page(annotations: Iterable[Annotation], catalog: ProductCatalog,
                 page: Optional[int] = None,
                 per_page: Optional[int] = None) -> bytes:
     """Bulk mode embeds every annotation; paginated mode (page, per_page both
-    given, 1-based) embeds only the current page's slice."""
+    given, 1-based) embeds only the current page's slice. `annotations` may
+    be a stream; the page is written into one buffer as it is read."""
     if page is not None:
         if per_page is None or per_page < 1:
             raise AnnotateError("paginated mode needs per_page >= 1")
-        pages = max(1, -(-len(annotations) // per_page))
-        if not 1 <= page <= pages:
-            raise PageNotFound(f"page {page} out of range 1..{pages}")
-        annotations = annotations[(page - 1) * per_page: page * per_page]
+        annotations = _page_slice(annotations, page, per_page)
     buf = io.BytesIO()
     render_page_stream(annotations, catalog, buf.write)
     return buf.getvalue()

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import requests
 
-from .annotate import ConformityScanner, elevate, render_page_stream, serialize
+from .annotate import ConformityScanner, annotation_stream, render_page_stream
 from .catalog import InventoryState, ProductCatalog, count_variations, resize_dimension
 from .heuristics import (
     HEURISTIC_NAMES,
@@ -22,7 +22,6 @@ from .heuristics import (
     MaterializationCapExceeded,
     PublicationItem,
     expected_count,
-    publication_items,
 )
 from .resolver import ResolverService, make_server
 
@@ -84,13 +83,11 @@ def _generation_pass(catalog: ProductCatalog, heuristic: str,
     scanner = ConformityScanner() if check_conformity else None
 
     def annotations():
-        for item in publication_items(catalog, heuristic, snapshot, policies):
-            service = (elevate(item, endpoint_base, catalog)
-                       if item.requires_elevation else None)
-            annotation = serialize(item, service, catalog)
+        for annotation in annotation_stream(catalog, heuristic, snapshot, policies,
+                                            endpoint_base):
             result.count += 1
             result.payload_bytes += annotation.byte_size
-            if item.kind is ItemKind.CONCRETE:
+            if annotation.item.kind is ItemKind.CONCRETE:
                 result.concrete += 1
             yield annotation
 

@@ -172,17 +172,13 @@ def enumerate_variations(catalog: ProductCatalog,
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
     names = catalog.dimension_names
-    # Pre-encode each (name, value) pair once; the cross product then only joins.
-    parts = [
-        [(v, f"{_enc(d.name)}={_enc(v)}") for v in d.values]
-        for d in catalog.dimensions
-    ]
+    # Pre-encode each (name, value) pair once; the cross product then only
+    # joins. Values and encoded parts run through two products in lockstep.
+    parts = [[f"{_enc(d.name)}={_enc(v)}" for v in d.values] for d in catalog.dimensions]
     gen = (
-        Variation(
-            {n: c[0] for n, c in zip(names, combo)},
-            "|".join(c[1] for c in combo),
-        )
-        for combo in itertools.product(*parts)
+        Variation(dict(zip(names, combo)), "|".join(encoded))
+        for combo, encoded in zip(itertools.product(*(d.values for d in catalog.dimensions)),
+                                  itertools.product(*parts))
     )
     return itertools.islice(gen, limit) if limit is not None else gen
 

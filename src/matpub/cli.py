@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .annotate import elevate, render_page_stream, serialize
+from .annotate import annotation_stream, render_page_stream
 from .bench import SweepConfig, emit_csv, emit_gnuplot, run_sweep
 from .catalog import CatalogError, InventoryState, ProductCatalog, load_catalog
 from .consumer import Client, TransportError, hit_ratio_experiment
@@ -25,7 +25,6 @@ from .heuristics import (
     HeuristicPolicies,
     MaterializationCapExceeded,
     PickerPolicy,
-    publication_items,
 )
 from .resolver import ResolverService, make_server
 
@@ -139,13 +138,10 @@ def cmd_generate(config: Config, heuristic: str, out_dir: str) -> int:
         with open(jsonl_path, "wb") as jsonl, open(page_path, "wb") as page:
             def annotations():
                 nonlocal count, total_bytes
-                for item in publication_items(catalog, heuristic, snapshot,
-                                              config.policies):
-                    service = (elevate(item, config.endpoint_base, catalog)
-                               if item.requires_elevation else None)
-                    annotation = serialize(item, service, catalog)
-                    jsonl.write(annotation.jsonld)
-                    jsonl.write(b"\n")
+                for annotation in annotation_stream(catalog, heuristic, snapshot,
+                                                    config.policies,
+                                                    config.endpoint_base):
+                    jsonl.write(annotation.jsonld + b"\n")
                     count += 1
                     total_bytes += annotation.byte_size
                     yield annotation

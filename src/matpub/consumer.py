@@ -195,6 +195,9 @@ class Client:
     def __init__(self, session: Optional[requests.Session] = None):
         self.session = session or requests.Session()
 
+    def close(self):
+        self.session.close()
+
     def fetch_page(self, page_url: str) -> bytes:
         response = _request_with_retry(self.session, "GET", page_url)
         return response.content
@@ -302,14 +305,20 @@ def hit_ratio_experiment(page_url: str, catalog: ProductCatalog, n_queries: int,
         {d.name: rng.choice(d.values) for d in catalog.dimensions}
         for _ in range(n_queries)
     ]
-    client = Client()
-    page = client.fetch_page(page_url)
-    annotations, _ = extract_annotations(page)
+    page_client = Client()
+    try:
+        annotations, _ = extract_annotations(page_client.fetch_page(page_url))
+    finally:
+        page_client.close()
 
     def one(desired):
-        # Each worker needs its own session; requests sessions are not
-        # guaranteed thread-safe.
-        return Client().resolve(page_url, desired, book=book, annotations=annotations)
+        # Each query gets its own session, closed once it is resolved;
+        # requests sessions are not guaranteed thread-safe.
+        client = Client()
+        try:
+            return client.resolve(page_url, desired, book=book, annotations=annotations)
+        finally:
+            client.close()
 
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
         traces = list(pool.map(one, queries))

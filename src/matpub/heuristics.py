@@ -11,6 +11,7 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .catalog import (
+    TWO_PLACES,
     DimensionKind,
     InventorySnapshot,
     InventoryState,
@@ -81,10 +82,14 @@ class PublicationItem:
     price_range: Optional[Tuple[Decimal, Decimal]]
     available: bool
     requires_elevation: bool
+    # A concrete item's canonical id, which is its fixed-set id, when known.
+    canonical_id: Optional[str] = field(default=None, compare=False, repr=False)
 
     def fixed_set_id(self) -> str:
         """Canonical string over the fixed assignments (declared order is the
         insertion order of `fixed`)."""
+        if self.canonical_id is not None:
+            return self.canonical_id
         return canonical_id_for(list(self.fixed), self.fixed)
 
 
@@ -133,6 +138,7 @@ def _concrete_item(catalog: ProductCatalog, inventory: InventorySnapshot,
         price_range=None,
         available=inventory.is_available(v.canonical_id),
         requires_elevation=requires_elevation,
+        canonical_id=v.canonical_id,
     )
 
 
@@ -160,13 +166,28 @@ def _ranged_item(catalog: ProductCatalog, inventory: InventorySnapshot,
 def iter_full_materialization(catalog: ProductCatalog,
                               inventory: Optional[InventorySnapshot] = None,
                               hard_cap: int = DEFAULT_HARD_CAP) -> Iterator[PublicationItem]:
-    """Streaming full materialization: one concrete item per variation."""
+    """Streaming full materialization: one concrete item per variation. The
+    enumeration only yields catalog values, so the price is summed from
+    per-value deltas looked up once, in the same order `price` adds them."""
     total = count_variations(catalog)
     if total > hard_cap:
         raise MaterializationCapExceeded(total, hard_cap)
     inv = _snapshot(catalog, inventory)
-    for v in enumerate_variations(catalog):
-        yield _concrete_item(catalog, inv, v, requires_elevation=False)
+    base = catalog.pricing.base_price
+    deltas = itertools.product(*(
+        [catalog.pricing.delta(d.name, value) for value in d.values]
+        for d in catalog.dimensions))
+    for v, ds in zip(enumerate_variations(catalog), deltas):
+        yield PublicationItem(
+            kind=ItemKind.CONCRETE,
+            fixed=v.assignments,
+            ranges={},
+            exact_price=sum(ds, base).quantize(TWO_PLACES),
+            price_range=None,
+            available=inv.is_available(v.canonical_id),
+            requires_elevation=False,
+            canonical_id=v.canonical_id,
+        )
 
 
 def full_materialization(catalog: ProductCatalog,

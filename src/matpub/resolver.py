@@ -10,13 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlparse
 
-from .annotate import (
-    Annotation,
-    PageNotFound,
-    elevate,
-    render_page,
-    serialize,
-)
+from .annotate import PageNotFound, annotation_stream, render_page
 from .catalog import (
     DimensionKind,
     InventorySnapshot,
@@ -33,7 +27,6 @@ from .heuristics import (
     MaterializationCapExceeded,
     NoAvailableVariation,
     consistent_variations,
-    publication_items,
 )
 
 EPOCH_HEADER = "X-Inventory-Epoch"
@@ -74,11 +67,14 @@ class ResolverService:
             return self._inventory.snapshot()
 
     def book(self, canonical_id: str) -> BookingResult:
+        """Book under the variation's canonical id, whatever spelling of it
+        was sent (dimension order, zero padding, percent-encoding)."""
         try:
-            parse_canonical_id(self.catalog, canonical_id)
+            assignments = parse_canonical_id(self.catalog, canonical_id)
         except ValidationError:
             with self._lock:
                 return BookingResult("unknown_offer", canonical_id, self._inventory.epoch)
+        canonical_id = self.catalog.variation(assignments).canonical_id
         with self._lock:
             confirmed = self._inventory.book(canonical_id)
             epoch = self._inventory.epoch
@@ -144,20 +140,13 @@ class ResolverService:
 
     # -- pages ---------------------------------------------------------------
 
-    def annotations_for(self, heuristic: str,
-                        snapshot: Optional[InventorySnapshot] = None) -> List[Annotation]:
-        snapshot = snapshot or self.snapshot()
-        annotations = []
-        for item in publication_items(self.catalog, heuristic, snapshot, self.policies):
-            service = (elevate(item, self.endpoint_base, self.catalog)
-                       if item.requires_elevation else None)
-            annotations.append(serialize(item, service, self.catalog))
-        return annotations
-
     def page_html(self, heuristic: str, page: Optional[int] = None,
                   per_page: Optional[int] = None) -> Tuple[bytes, int]:
+        """Build the page from the current snapshot, streaming the annotations
+        into the response buffer."""
         snapshot = self.snapshot()
-        annotations = self.annotations_for(heuristic, snapshot)
+        annotations = annotation_stream(self.catalog, heuristic, snapshot,
+                                        self.policies, self.endpoint_base)
         body = render_page(annotations, self.catalog, page=page, per_page=per_page)
         return body, snapshot.epoch
 

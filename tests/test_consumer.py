@@ -200,6 +200,36 @@ class TestHitRatioExperiment:
             assert means["full"] <= means["type-level"]
             assert means["full"] <= means["abstraction"]
 
+    def test_every_session_closed(self, monkeypatch):
+        sessions = []
+
+        class CountingSession(requests.Session):
+            closed = False
+
+            def __init__(self):
+                super().__init__()
+                sessions.append(self)
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        catalog = eval_hotel_n(10)
+        catalog.base_availability_rate = 0.6
+        monkeypatch.setattr(requests, "Session", CountingSession)
+        with live_server(catalog) as service:
+            for heuristic in ("selective", "full"):
+                sessions.clear()
+                result = hit_ratio_experiment(page_url(service, heuristic), catalog,
+                                              n_queries=30, seed=4, book=True,
+                                              concurrency=3)
+                service.reset()
+                # One session fetches the page, then one per query.
+                assert len(sessions) == 30 + 1
+                assert all(s.closed for s in sessions)
+                assert (result["hit_ratio"], result["booked"],
+                        result["mean_api_calls"]) == (20 / 30, 20, 50 / 30)
+
     def test_rejects_zero_queries(self, server, hotel10):
         with pytest.raises(ValueError):
             hit_ratio_experiment(page_url(server, "full"), hotel10,

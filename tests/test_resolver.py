@@ -152,6 +152,26 @@ class TestBooking:
             assert doc["total_count"] == 0
             assert doc["offers"] == []
 
+    def test_one_identity_per_variation(self, hotel10):
+        canonical = ("type=normal|catering=breakfast|occupancy=single"
+                     "|arrival=2026-01-01|stay=7")
+        spellings = [
+            canonical,
+            "stay=7|type=normal|catering=breakfast|occupancy=single|arrival=2026-01-01",
+            canonical.replace("stay=7", "stay=07"),
+        ]
+        with live_server(hotel10) as service:
+            results = [post(service, "/api/book", {"canonical_id": cid}).json()
+                       for cid in spellings]
+            assert [r["status"] for r in results] == \
+                ["confirmed", "already_booked", "already_booked"]
+            assert {r["canonical_id"] for r in results} == {canonical}
+            assert [r["epoch_after"] for r in results] == [1, 1, 1]
+            doc = get(service, "/api/search", type="normal", catering="breakfast",
+                      occupancy="single", arrival="2026-01-01", stay="7").json()
+            assert doc["total_count"] == 0
+            assert doc["offers"] == []
+
     def test_concurrent_bookings_confirm_exactly_once(self, hotel10):
         with live_server(hotel10) as service:
             cid = next(enumerate_variations(hotel10)).canonical_id
