@@ -367,43 +367,58 @@ class ConformityReport:
     orphans: List[Tuple[str, str]] = field(default_factory=list)
 
 
-class ConformityScanner(HTMLParser):
-    """Collects JSON-LD anchor ids and visible product element ids; can be fed
-    incrementally for large pages."""
+class JsonLdScanner(HTMLParser):
+    """Finds a page's `application/ld+json` blocks and the ids of its visible
+    product elements, in document order. The page may be fed in pieces. Each
+    block's text goes to `on_block` as its script element closes, and each
+    element id to `on_element`; no block is kept after it is handed over."""
 
-    def __init__(self):
+    def __init__(self, on_block: Callable[[str], object],
+                 on_element: Callable[[str], object] = lambda element_id: None):
         super().__init__(convert_charrefs=True)
-        self.annotation_anchors: List[str] = []
-        self.element_ids: List[str] = []
-        self.malformed: int = 0
-        self._in_jsonld = False
-        self._script_buf: List[str] = []
+        self._on_block = on_block
+        self._on_element = on_element
+        self._block: Optional[List[str]] = None  # text of the open block
 
     def handle_starttag(self, tag, attrs):
         attrs = dict(attrs)
         if tag == "script" and attrs.get("type") == "application/ld+json":
-            self._in_jsonld = True
-            self._script_buf = []
+            self._block = []
         elif "product" in (attrs.get("class") or "").split() and attrs.get("id"):
-            self.element_ids.append(attrs["id"])
+            self._on_element(attrs["id"])
 
     def handle_data(self, data):
-        if self._in_jsonld:
-            self._script_buf.append(data)
+        if self._block is not None:
+            self._block.append(data)
 
     def handle_endtag(self, tag):
-        if tag == "script" and self._in_jsonld:
-            self._in_jsonld = False
-            raw = "".join(self._script_buf)
-            try:
-                doc = json.loads(raw)
-                anchor = str(doc.get("@id", "")).lstrip("#")
-                if not anchor:
-                    raise ValueError("missing @id")
-                self.annotation_anchors.append(anchor)
-            except ValueError:
-                self.malformed += 1
-                self.annotation_anchors.append(f"<malformed-{self.malformed}>")
+        if tag == "script" and self._block is not None:
+            text, self._block = "".join(self._block), None
+            self._on_block(text)
+
+
+class ConformityScanner:
+    """Collects JSON-LD anchor ids and visible product element ids; can be fed
+    incrementally for large pages."""
+
+    def __init__(self):
+        self.annotation_anchors: List[str] = []
+        self.element_ids: List[str] = []
+        self.malformed: int = 0
+        scanner = JsonLdScanner(self._block, self.element_ids.append)
+        self.feed, self.close = scanner.feed, scanner.close
+
+    def _block(self, raw: str):
+        try:
+            doc = json.loads(raw)
+        except ValueError:
+            doc = None
+        # Not JSON, not a JSON object, or without an @id: malformed.
+        anchor = str(doc.get("@id", "")).lstrip("#") if isinstance(doc, dict) else ""
+        if not anchor:
+            self.malformed += 1
+            anchor = f"<malformed-{self.malformed}>"
+        self.annotation_anchors.append(anchor)
 
     def report(self) -> ConformityReport:
         anchors = set(a for a in self.annotation_anchors if not a.startswith("<malformed-"))

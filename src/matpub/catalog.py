@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import quote, unquote
@@ -72,6 +73,11 @@ class DimensionDef:
         # Abstracting a length-1 dimension removes no information.
         return len(self.values) > 1
 
+    @cached_property
+    def id_parts(self) -> Tuple[str, ...]:
+        """The canonical-id part `name=value` of each value, in declared order."""
+        return tuple(_id_part(self.name, v) for v in self.values)
+
 
 @dataclass
 class PricingModel:
@@ -100,14 +106,14 @@ class Variation:
         return hash(self.canonical_id)
 
 
-def _enc(part: Value) -> str:
-    return quote(str(part), safe="")
+def _id_part(name: str, value: Value) -> str:
+    """`name=value`, both percent-encoded so the separators stay unambiguous."""
+    return f"{quote(str(name), safe='')}={quote(str(value), safe='')}"
 
 
 def canonical_id_for(dimension_names: List[str], assignments: Dict[str, Value]) -> str:
-    """Join `name=value` pairs with `|` in the given dimension order,
-    percent-encoding names and values so the separators stay unambiguous."""
-    return "|".join(f"{_enc(n)}={_enc(assignments[n])}" for n in dimension_names)
+    """Join `name=value` pairs with `|` in the given dimension order."""
+    return "|".join(_id_part(n, assignments[n]) for n in dimension_names)
 
 
 @dataclass
@@ -166,21 +172,43 @@ def count_variations(catalog: ProductCatalog) -> int:
 
 
 def enumerate_variations(catalog: ProductCatalog,
+                         fixed: Optional[Dict[str, Value]] = None,
                          limit: Optional[int] = None) -> Iterator[Variation]:
-    """Yield variations in lexicographic order of declared dimension order and
-    declared value order. Streaming: memory is bounded by one variation."""
+    """Yield the variations consistent with the partial assignment `fixed`
+    (all of them without it) in lexicographic order of declared dimension
+    order and declared value order, never touching the rest of the space.
+    Streaming: memory is bounded by one variation."""
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
+    fixed = fixed or {}
     names = catalog.dimension_names
-    # Pre-encode each (name, value) pair once; the cross product then only
-    # joins. Values and encoded parts run through two products in lockstep.
-    parts = [[f"{_enc(d.name)}={_enc(v)}" for v in d.values] for d in catalog.dimensions]
+    pools = [(fixed[d.name],) if d.name in fixed else d.values for d in catalog.dimensions]
+    # Values and their pre-encoded id parts run through two products in
+    # lockstep, so building an id only joins.
+    parts = [(_id_part(d.name, fixed[d.name]),) if d.name in fixed else d.id_parts
+             for d in catalog.dimensions]
     gen = (
         Variation(dict(zip(names, combo)), "|".join(encoded))
-        for combo, encoded in zip(itertools.product(*(d.values for d in catalog.dimensions)),
-                                  itertools.product(*parts))
+        for combo, encoded in zip(itertools.product(*pools), itertools.product(*parts))
     )
     return itertools.islice(gen, limit) if limit is not None else gen
+
+
+def parse_value(catalog: ProductCatalog, name: str, raw: str) -> Value:
+    """Type a raw string as a value of the named dimension (an integer for an
+    ordinal one). Raises ValidationError for an unknown dimension, a
+    non-integer ordinal or a value outside the dimension."""
+    dim = catalog.dimension(name)
+    value: Value = raw
+    if dim.kind is DimensionKind.ORDINAL:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValidationError(
+                f"dimension {name!r} expects an integer, got {raw!r}") from exc
+    if value not in dim.values:
+        raise ValidationError(f"value {raw!r} not in dimension {name!r}")
+    return value
 
 
 def parse_canonical_id(catalog: ProductCatalog, canonical_id: str) -> Dict[str, Value]:
@@ -191,16 +219,9 @@ def parse_canonical_id(catalog: ProductCatalog, canonical_id: str) -> Dict[str, 
             raise ValidationError(f"malformed canonical id segment {piece!r}")
         raw_name, raw_value = piece.split("=", 1)
         name = unquote(raw_name)
-        dim = catalog.dimension(name)
-        value: Value = unquote(raw_value)
-        if dim.kind is DimensionKind.ORDINAL:
-            try:
-                value = int(value)
-            except ValueError as exc:
-                raise ValidationError(f"non-integer ordinal value {value!r}") from exc
         if name in assignments:
             raise ValidationError(f"dimension {name!r} repeated in canonical id")
-        assignments[name] = value
+        assignments[name] = parse_value(catalog, name, unquote(raw_value))
     return catalog.variation(assignments).assignments
 
 
@@ -244,7 +265,7 @@ def availability_score(seed: int, canonical_id: str) -> float:
 
 
 def initial_availability(catalog: ProductCatalog, v: Variation) -> bool:
-    return availability_score(catalog.inventory_seed, v.canonical_id) < catalog.base_availability_rate
+    return InventoryState(catalog).is_available(v.canonical_id)
 
 
 @dataclass(frozen=True)
@@ -275,11 +296,13 @@ class InventoryState:
         self.epoch = 0
         self._overrides: Dict[str, bool] = {}
 
-    def is_available(self, canonical_id: str) -> bool:
-        got = self._overrides.get(canonical_id)
-        if got is not None:
-            return got
-        return availability_score(self.seed, canonical_id) < self.rate
+    # The snapshot's availability rule, which reads `seed`, `rate` and
+    # `overrides`. It stays a snapshot method because pages call it per item.
+    is_available = InventorySnapshot.is_available
+
+    @property
+    def overrides(self) -> Dict[str, bool]:
+        return self._overrides
 
     def book(self, canonical_id: str) -> bool:
         """Mark unavailable. Returns True iff the booking was confirmed (the

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 from .annotate import annotation_stream, render_page_stream
 from .bench import SweepConfig, emit_csv, emit_gnuplot, run_sweep
-from .catalog import CatalogError, InventoryState, ProductCatalog, load_catalog
+from .catalog import CatalogError, InventoryState, ProductCatalog, load_catalog, parse_value
 from .consumer import Client, TransportError, hit_ratio_experiment
 from .heuristics import (
     HEURISTIC_NAMES,
@@ -186,8 +186,7 @@ def _parse_query(pairs: Sequence[str], catalog: ProductCatalog) -> dict:
         if "=" not in pair:
             raise ConfigError(f"query term {pair!r} must be name=value")
         name, value = pair.split("=", 1)
-        dim = catalog.dimension(name)
-        desired[name] = int(value) if dim.kind.value == "ordinal" else value
+        desired[name] = parse_value(catalog, name, value)
     return desired
 
 
@@ -288,7 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             return cmd_crawl(config, args.page_url, args.query, args.book,
                              args.experiment, args.seed)
-        except ConfigError as exc:
+        except (ConfigError, CatalogError) as exc:
             _log(f"config error: {exc}")
             return EXIT_CONFIG
     if args.command == "bench":

@@ -8,13 +8,13 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 from random import Random
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlencode, urlparse
 
 import requests
 
+from .annotate import JsonLdScanner
 from .catalog import ProductCatalog, Value
 
 RETRY_ATTEMPTS = 3
@@ -75,28 +75,6 @@ class ResolutionTrace:
         }
 
 
-class _AnnotationCollector(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.blocks: List[str] = []
-        self._in_jsonld = False
-        self._buf: List[str] = []
-
-    def handle_starttag(self, tag, attrs):
-        if tag == "script" and dict(attrs).get("type") == "application/ld+json":
-            self._in_jsonld = True
-            self._buf = []
-
-    def handle_data(self, data):
-        if self._in_jsonld:
-            self._buf.append(data)
-
-    def handle_endtag(self, tag):
-        if tag == "script" and self._in_jsonld:
-            self._in_jsonld = False
-            self.blocks.append("".join(self._buf))
-
-
 def _parse_block(doc: dict) -> Optional[ParsedAnnotation]:
     if doc.get("@type") != "Product":
         return None
@@ -140,12 +118,13 @@ def _parse_block(doc: dict) -> Optional[ParsedAnnotation]:
 def extract_annotations(page: bytes) -> Tuple[List[ParsedAnnotation], List[str]]:
     """Parse every JSON-LD product block on the page. Malformed blocks are
     skipped with a warning record; unrelated blocks are ignored."""
-    collector = _AnnotationCollector()
-    collector.feed(page.decode("utf-8"))
-    collector.close()
+    blocks: List[str] = []
+    scanner = JsonLdScanner(blocks.append)
+    scanner.feed(page.decode("utf-8"))
+    scanner.close()
     parsed: List[ParsedAnnotation] = []
     warnings: List[str] = []
-    for i, raw in enumerate(collector.blocks):
+    for i, raw in enumerate(blocks):
         try:
             doc = json.loads(raw)
         except ValueError as exc:

@@ -108,18 +108,8 @@ def _snapshot(catalog: ProductCatalog,
     return inventory
 
 
-def consistent_variations(catalog: ProductCatalog,
-                          fixed: Dict[str, Value]) -> Iterator[Variation]:
-    """Enumerate the variations consistent with a partial assignment, in
-    canonical order, without touching the non-consistent rest of the space."""
-    names = catalog.dimension_names
-    pools = [
-        [fixed[d.name]] if d.name in fixed else list(d.values)
-        for d in catalog.dimensions
-    ]
-    for combo in itertools.product(*pools):
-        assignments = dict(zip(names, combo))
-        yield Variation(assignments, canonical_id_for(names, assignments))
+# The name availability scans and searches use; the same function object.
+consistent_variations = enumerate_variations
 
 
 def any_available(catalog: ProductCatalog, inventory: InventorySnapshot,

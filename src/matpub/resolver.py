@@ -12,13 +12,13 @@ from urllib.parse import parse_qsl, urlparse
 
 from .annotate import PageNotFound, annotation_stream, render_page
 from .catalog import (
-    DimensionKind,
     InventorySnapshot,
     InventoryState,
     ProductCatalog,
     ValidationError,
     Value,
     parse_canonical_id,
+    parse_value,
     price,
 )
 from .heuristics import (
@@ -90,33 +90,19 @@ class ResolverService:
 
     def _typed_constraints(self, raw: Dict[str, str]) -> Dict[str, Value]:
         constraints: Dict[str, Value] = {}
-        names = set(self.catalog.dimension_names)
         for name, raw_value in raw.items():
-            if name not in names:
-                raise BadSearchRequest(f"unknown dimension {name!r}", name)
-            dim = self.catalog.dimension(name)
-            value: Value = raw_value
-            if dim.kind is DimensionKind.ORDINAL:
-                try:
-                    value = int(raw_value)
-                except ValueError:
-                    raise BadSearchRequest(
-                        f"dimension {name!r} expects an integer, got {raw_value!r}", name)
-            if value not in dim.values:
-                raise BadSearchRequest(
-                    f"value {raw_value!r} not in dimension {name!r}", name)
-            constraints[name] = value
+            try:
+                constraints[name] = parse_value(self.catalog, name, raw_value)
+            except ValidationError as exc:
+                raise BadSearchRequest(str(exc), name) from exc
         return constraints
 
     def search(self, raw_constraints: Dict[str, str], page: int = 1,
                per_page: int = DEFAULT_PER_PAGE) -> Tuple[List[dict], int, int]:
         """Available variations consistent with the constraints, in canonical
         enumeration order. Returns (offers, total_count, epoch). Constrained
-        dimensions are pruned before enumeration, never scanned."""
-        if page < 1:
-            raise BadSearchRequest("page must be >= 1", "page")
-        if not 1 <= per_page <= MAX_PER_PAGE:
-            raise BadSearchRequest(f"per_page must be in [1, {MAX_PER_PAGE}]", "per_page")
+        dimensions are pruned before enumeration, never scanned. `page` and
+        `per_page` are as `_parse_paging` checks them."""
         constraints = self._typed_constraints(raw_constraints)
         snapshot = self.snapshot()
         lo = (page - 1) * per_page
@@ -153,6 +139,22 @@ class ResolverService:
 
 # ---------------------------------------------------------------------------
 # HTTP layer
+
+def _parse_paging(query: Dict[str, str]) -> Tuple[int, int]:
+    """Pop `page` and `per_page` off a request's query and check them; a
+    BadSearchRequest names the parameter at fault."""
+    def integer(name: str, default: int, high: float) -> int:
+        try:
+            value = int(query.pop(name, default))
+            if 1 <= value <= high:
+                return value
+        except ValueError:
+            pass
+        raise BadSearchRequest(f"{name} must be an integer in [1, {high}]", name)
+
+    return (integer("page", 1, float("inf")),
+            integer("per_page", DEFAULT_PER_PAGE, MAX_PER_PAGE))
+
 
 def _json_bytes(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ": ")).encode("utf-8")
@@ -200,16 +202,12 @@ class ResolverHandler(BaseHTTPRequestHandler):
         if heuristic not in HEURISTIC_NAMES:
             self._error(404, f"unknown heuristic {heuristic!r}", epoch)
             return
-        page = per_page = None
         try:
-            if "page" in query:
-                page = int(query["page"])
-                per_page = int(query.get("per_page", DEFAULT_PER_PAGE))
-        except ValueError:
-            self._error(400, "page and per_page must be integers", epoch)
-            return
-        try:
+            page, per_page = _parse_paging(query) if "page" in query else (None, None)
             body, epoch = self.service.page_html(heuristic, page=page, per_page=per_page)
+        except BadSearchRequest as exc:
+            self._error(400, str(exc), epoch, offender=exc.offender)
+            return
         except MaterializationCapExceeded as exc:
             self._error(422, str(exc), epoch, count=exc.count, cap=exc.cap)
             return
@@ -223,13 +221,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
 
     def _get_search(self, query: Dict[str, str]):
         try:
-            page = int(query.pop("page", "1"))
-            per_page = int(query.pop("per_page", str(DEFAULT_PER_PAGE)))
-        except ValueError:
-            self._error(400, "page and per_page must be integers",
-                        self.service.snapshot().epoch)
-            return
-        try:
+            page, per_page = _parse_paging(query)
             offers, total, epoch = self.service.search(query, page, per_page)
         except BadSearchRequest as exc:
             self._error(400, str(exc), self.service.snapshot().epoch,

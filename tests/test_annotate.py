@@ -223,9 +223,12 @@ class TestConformity:
         assert not report.conforms
         assert ("annotation", "p-bogus") in report.orphans
 
-    def test_malformed_block_is_orphan_not_crash(self, eval_hotel):
+    # Valid JSON that is not an object is as malformed as text that is not JSON.
+    @pytest.mark.parametrize("block", ["{not json]", "[1]", '"x"', "null"],
+                             ids=["not-json", "array", "string", "null"])
+    def test_malformed_block_is_orphan_not_crash(self, eval_hotel, block):
         page = self.make_page(eval_hotel).decode("utf-8")
-        extra = '<script type="application/ld+json">{not json]</script>\n'
+        extra = f'<script type="application/ld+json">{block}</script>\n'
         mutated = page.replace("</body>", extra + "</body>")
         report = conformity_check(mutated.encode("utf-8"))
         assert not report.conforms

@@ -11,6 +11,7 @@ from matpub.catalog import (
     DimensionKind,
     InventoryState,
     ValidationError,
+    canonical_id_for,
     count_variations,
     enumerate_variations,
     initial_availability,
@@ -275,3 +276,17 @@ def test_prices_match_oracle_and_are_positive(catalog):
         p = price(catalog, v)
         assert p == oracle_price(catalog, v.assignments)
         assert p > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fixed_enumeration_is_filtered_full_enumeration(data):
+    catalog = data.draw(catalog_strategy())
+    fixed = {d.name: data.draw(st.sampled_from(d.values))
+             for d in catalog.dimensions if data.draw(st.booleans())}
+    expected = [v.assignments for v in enumerate_variations(catalog)
+                if all(v.assignments[k] == x for k, x in fixed.items())]
+    got = list(enumerate_variations(catalog, fixed))
+    assert [v.assignments for v in got] == expected
+    assert [v.canonical_id for v in got] == [
+        canonical_id_for(catalog.dimension_names, a) for a in expected]

@@ -142,13 +142,22 @@ class TestCrawl:
         assert first["outcome"] == "booked"
         assert second["outcome"] == "dead_end"
 
-    def test_incomplete_query_is_exit_1(self, workdir):
+    @pytest.mark.parametrize("query", [
+        ["type=normal"],
+        ["bogus=1"] + QUERY,
+        QUERY[:-1] + ["stay=x"],
+        ["type=penthouse"] + QUERY[1:],
+    ], ids=["incomplete", "unknown-dimension", "non-integer-ordinal", "unknown-value"])
+    def test_incomplete_query_is_exit_1(self, workdir, capsys, query):
         config = load_config(str(workdir / "config.json"))
         with live_server(config.catalog()) as service:
             code = main(["crawl", "--config", str(workdir / "config.json"),
                          "--page-url", f"{service.endpoint_base}/page/full",
-                         "--query", "type=normal"])
+                         "--query"] + query)
         assert code == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
 
     def test_experiment_summary(self, workdir, capsys):
         config = load_config(str(workdir / "config.json"))

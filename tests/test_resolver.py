@@ -7,6 +7,7 @@ import requests
 
 from matpub.catalog import count_variations, enumerate_variations
 from matpub.heuristics import HeuristicPolicies
+from matpub.resolver import MAX_PER_PAGE
 
 from conftest import eval_hotel_n, live_server, make_catalog, oracle_search
 
@@ -58,6 +59,21 @@ class TestPages:
         assert response.status_code == 200
         assert response.text.count('application/ld+json') == 10
         assert get(server, "/page/full", page=10 ** 6, per_page=10).status_code == 404
+
+    @pytest.mark.parametrize("path", ["/page/full", "/api/search"])
+    @pytest.mark.parametrize("params, offender", [
+        ({"page": 1, "per_page": 0}, "per_page"),
+        ({"page": 1, "per_page": -5}, "per_page"),
+        ({"page": 1, "per_page": MAX_PER_PAGE + 1}, "per_page"),
+        ({"page": 1, "per_page": "ten"}, "per_page"),
+        ({"page": 0, "per_page": 10}, "page"),
+        ({"page": "x", "per_page": 10}, "page"),
+    ], ids=["per_page-0", "per_page-negative", "per_page-over-max", "per_page-not-integer",
+            "page-0", "page-not-integer"])
+    def test_bad_paging_is_400_naming_offender(self, server, path, params, offender):
+        response = get(server, path, **params)
+        assert response.status_code == 400
+        assert response.json()["offender"] == offender
 
 
 class TestSearch:
