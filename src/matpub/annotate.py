@@ -10,14 +10,13 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
-from enum import Enum
 from functools import partial
 from html.parser import HTMLParser
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from . import heuristics
-from .catalog import DimensionKind, InventorySnapshot, ProductCatalog, Value
-from .heuristics import ItemKind, PublicationItem, RangeSummary, summarize_dimension
+from .catalog import DimensionKind, InventorySnapshot, ProductCatalog, RangeSummary, Value
+from .heuristics import ItemKind, PublicationItem
 
 SCHEMA_CONTEXT = "https://schema.org"
 IN_STOCK = "https://schema.org/InStock"
@@ -36,29 +35,16 @@ class PageNotFound(LookupError):
     """Requested page is out of range."""
 
 
-class ActionKind(str, Enum):
-    SEARCH = "search"
-    BOOK = "book"
-
-
-class OutputType(str, Enum):
-    OFFER = "offer"
-    BOOKING_CONFIRMATION = "booking_confirmation"
-
-
 @dataclass(frozen=True)
 class InputParam:
     name: str
-    value_domain: RangeSummary
     required: bool = True
 
 
 @dataclass(frozen=True)
 class ServiceDescription:
-    action_kind: ActionKind
     target_url_template: str
     inputs: Tuple[InputParam, ...]
-    output_type: OutputType
 
 
 def elevate(item: PublicationItem, endpoint_base: str,
@@ -72,16 +58,13 @@ def elevate(item: PublicationItem, endpoint_base: str,
         input_names = catalog.dimension_names
     else:
         input_names = [d.name for d in catalog.dimensions if d.name not in item.fixed]
-    params = tuple(
-        InputParam(name, summarize_dimension(catalog.dimension(name)), required=True)
-        for name in input_names
-    )
+    params = tuple(InputParam(name, required=True) for name in input_names)
     base = endpoint_base.rstrip("/")
     if params:
         template = f"{base}/api/search{{?{','.join(p.name for p in params)}}}"
     else:
         template = f"{base}/api/search"
-    return ServiceDescription(ActionKind.SEARCH, template, params, OutputType.OFFER)
+    return ServiceDescription(template, params)
 
 
 @dataclass(frozen=True)
@@ -411,7 +394,7 @@ class ConformityScanner:
     def _block(self, raw: str):
         try:
             doc = json.loads(raw)
-        except ValueError:
+        except (ValueError, RecursionError):
             doc = None
         # Not JSON, not a JSON object, or without an @id: malformed.
         anchor = str(doc.get("@id", "")).lstrip("#") if isinstance(doc, dict) else ""

@@ -34,6 +34,19 @@ class DimensionKind(str, Enum):
 
 
 @dataclass(frozen=True)
+class RangeSummary:
+    """Summary of a non-fixed dimension: full value list for categorical,
+    min/max/count for ordinal and temporal."""
+
+    kind: DimensionKind
+    values: Optional[Tuple[Value, ...]] = None
+    min_value: Optional[Value] = None
+    max_value: Optional[Value] = None
+    count: int = 0
+    abstracted: bool = True  # False for length-1 dimensions (nothing removed)
+
+
+@dataclass(frozen=True)
 class DimensionDef:
     """One axis of product variation. `values` is the ordered list of admissible
     literals: strings for categorical, ISO-8601 date strings for temporal,
@@ -78,6 +91,16 @@ class DimensionDef:
         """The canonical-id part `name=value` of each value, in declared order."""
         return tuple(_id_part(self.name, v) for v in self.values)
 
+    @cached_property
+    def summary(self) -> RangeSummary:
+        """The range this dimension is published as when it is not fixed."""
+        if self.kind is DimensionKind.CATEGORICAL:
+            return RangeSummary(self.kind, values=tuple(self.values), count=len(self.values),
+                                abstracted=self.abstractable)
+        return RangeSummary(self.kind, min_value=min(self.values),
+                            max_value=max(self.values), count=len(self.values),
+                            abstracted=self.abstractable)
+
 
 @dataclass
 class PricingModel:
@@ -87,9 +110,6 @@ class PricingModel:
     base_price: Decimal
     currency: str
     modifiers: Dict[Tuple[str, Value], Decimal] = field(default_factory=dict)
-
-    def delta(self, dimension: str, value: Value) -> Decimal:
-        return self.modifiers.get((dimension, value), Decimal("0"))
 
 
 @dataclass(frozen=True)
@@ -131,6 +151,11 @@ class ProductCatalog:
         names = [d.name for d in self.dimensions]
         if len(set(names)) != len(names):
             raise CatalogError("dimension names must be unique")
+        # The HTTP API's paging parameters: such a dimension could never be
+        # constrained in a search.
+        reserved = sorted({"page", "per_page"} & set(names))
+        if reserved:
+            raise CatalogError(f"dimension name {reserved[0]!r} is reserved for paging")
         if not self.dimensions:
             raise CatalogError("catalog needs at least one dimension")
         if not 0.0 <= self.base_availability_rate <= 1.0:
@@ -144,6 +169,19 @@ class ProductCatalog:
     @property
     def dimension_names(self) -> List[str]:
         return [d.name for d in self.dimensions]
+
+    @cached_property
+    def price_table(self) -> Tuple[Tuple[str, Dict[Value, Decimal], Decimal, Decimal], ...]:
+        """One row per dimension, in declared order: its name, the price delta
+        of each value (in declared order), and the smallest and largest delta.
+        Derived from `dimensions` and `pricing` only, which do not change
+        after construction."""
+        table = []
+        for d in self.dimensions:
+            deltas = {v: self.pricing.modifiers.get((d.name, v), Decimal("0"))
+                      for v in d.values}
+            table.append((d.name, deltas, min(deltas.values()), max(deltas.values())))
+        return tuple(table)
 
     def dimension(self, name: str) -> DimensionDef:
         for d in self.dimensions:
@@ -227,13 +265,13 @@ def parse_canonical_id(catalog: ProductCatalog, canonical_id: str) -> Dict[str, 
 
 def price(catalog: ProductCatalog, v: Variation) -> Decimal:
     total = catalog.pricing.base_price
-    for d in catalog.dimensions:
-        if d.name not in v.assignments:
-            raise ValidationError(f"variation missing dimension {d.name!r}")
-        value = v.assignments[d.name]
-        if value not in d.values:
-            raise ValidationError(f"value {value!r} not in dimension {d.name!r}")
-        total += catalog.pricing.delta(d.name, value)
+    for name, deltas, _, _ in catalog.price_table:
+        if name not in v.assignments:
+            raise ValidationError(f"variation missing dimension {name!r}")
+        value = v.assignments[name]
+        if value not in deltas:
+            raise ValidationError(f"value {value!r} not in dimension {name!r}")
+        total += deltas[value]
     return total.quantize(TWO_PLACES)
 
 
@@ -242,15 +280,11 @@ def price_bounds(catalog: ProductCatalog,
     """Exact min/max of price over all variations consistent with `fixed`.
     Closed form: pricing is additive, so bounds decompose per dimension."""
     lo = hi = catalog.pricing.base_price
-    for d in catalog.dimensions:
-        if d.name in fixed:
-            delta = catalog.pricing.delta(d.name, fixed[d.name])
-            lo += delta
-            hi += delta
-        else:
-            deltas = [catalog.pricing.delta(d.name, v) for v in d.values]
-            lo += min(deltas)
-            hi += max(deltas)
+    for name, deltas, low, high in catalog.price_table:
+        if name in fixed:
+            low = high = deltas[fixed[name]]
+        lo += low
+        hi += high
     return lo.quantize(TWO_PLACES), hi.quantize(TWO_PLACES)
 
 

@@ -1,8 +1,9 @@
 """Command-line entry point: generate annotation sets, serve the booking
 resolver, crawl a served page, and run the benchmark sweep.
 
-Exit codes are a stable contract: 0 success, 1 config error, 2 materialization
-cap exceeded, 3 transport failure, 4 partial bench failure."""
+Exit codes are a stable contract: 0 success, 1 config error, 2 heuristic cannot
+publish (materialization cap exceeded or no available variation), 3 transport
+failure, 4 partial bench failure."""
 from __future__ import annotations
 
 import argparse
@@ -24,6 +25,7 @@ from .heuristics import (
     ClassificationPolicy,
     HeuristicPolicies,
     MaterializationCapExceeded,
+    NoAvailableVariation,
     PickerPolicy,
 )
 from .resolver import ResolverService, make_server
@@ -147,7 +149,7 @@ def cmd_generate(config: Config, heuristic: str, out_dir: str) -> int:
                     yield annotation
 
             render_page_stream(annotations(), catalog, page.write)
-    except MaterializationCapExceeded as exc:
+    except (MaterializationCapExceeded, NoAvailableVariation) as exc:
         _log(str(exc))
         return EXIT_CAP
     print(json.dumps({"heuristic": heuristic, "count": count,

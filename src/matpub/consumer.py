@@ -23,7 +23,7 @@ _TEMPLATE_QUERY = re.compile(r"\{\?([^}]*)\}")
 
 
 class TransportError(RuntimeError):
-    """Server unreachable after bounded retries."""
+    """Server unreachable after bounded retries, an error status or a non-JSON answer."""
 
 
 @dataclass
@@ -127,7 +127,7 @@ def extract_annotations(page: bytes) -> Tuple[List[ParsedAnnotation], List[str]]
     for i, raw in enumerate(blocks):
         try:
             doc = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             warnings.append(f"block {i}: malformed JSON-LD ({exc})")
             continue
         annotation = _parse_block(doc) if isinstance(doc, dict) else None
@@ -137,19 +137,31 @@ def extract_annotations(page: bytes) -> Tuple[List[ParsedAnnotation], List[str]]
 
 
 # ---------------------------------------------------------------------------
-# HTTP with bounded retries (transport errors only; empty results are signal)
+# HTTP with bounded retries (connection failures only; empty results are signal)
 
 def _request_with_retry(session: requests.Session, method: str, url: str, **kwargs):
     delay = RETRY_BACKOFF_S
     for attempt in range(RETRY_ATTEMPTS):
         try:
-            return session.request(method, url, timeout=30, **kwargs)
+            response = session.request(method, url, timeout=30, **kwargs)
         except (requests.ConnectionError, requests.Timeout) as exc:
             if attempt == RETRY_ATTEMPTS - 1:
                 raise TransportError(f"{method} {url} failed after "
                                      f"{RETRY_ATTEMPTS} attempts: {exc}") from exc
             time.sleep(delay)
             delay *= 2
+            continue
+        if not 200 <= response.status_code < 300:
+            raise TransportError(f"{method} {url} answered HTTP {response.status_code}")
+        return response
+
+
+def _json_body(response: requests.Response) -> dict:
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise TransportError(f"{response.request.method} {response.url} "
+                             f"answered a body that is not JSON") from exc
 
 
 def _expand_template(template: str, values: Dict[str, Value]) -> str:
@@ -183,17 +195,15 @@ class Client:
 
     def _search_step(self, trace: ResolutionTrace, url: str) -> dict:
         start = time.perf_counter()
-        response = _request_with_retry(self.session, "GET", url)
-        doc = response.json()
+        doc = _json_body(_request_with_retry(self.session, "GET", url))
         trace.steps.append(Step(url, doc.get("total_count", 0),
                                 time.perf_counter() - start))
         return doc
 
     def _book_step(self, trace: ResolutionTrace, book_url: str, canonical_id: str) -> dict:
         start = time.perf_counter()
-        response = _request_with_retry(self.session, "POST", book_url,
-                                       json={"canonical_id": canonical_id})
-        doc = response.json()
+        doc = _json_body(_request_with_retry(self.session, "POST", book_url,
+                                             json={"canonical_id": canonical_id}))
         trace.steps.append(Step(book_url, 1, time.perf_counter() - start))
         return doc
 

@@ -12,10 +12,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .catalog import (
     TWO_PLACES,
-    DimensionKind,
     InventorySnapshot,
     InventoryState,
     ProductCatalog,
+    RangeSummary,
     Value,
     Variation,
     canonical_id_for,
@@ -53,27 +53,6 @@ class ItemKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class RangeSummary:
-    """Summary of a non-fixed dimension: full value list for categorical,
-    min/max/count for ordinal and temporal."""
-
-    kind: DimensionKind
-    values: Optional[Tuple[Value, ...]] = None
-    min_value: Optional[Value] = None
-    max_value: Optional[Value] = None
-    count: int = 0
-    abstracted: bool = True  # False for length-1 dimensions (nothing removed)
-
-
-def summarize_dimension(dim) -> RangeSummary:
-    if dim.kind is DimensionKind.CATEGORICAL:
-        return RangeSummary(dim.kind, values=tuple(dim.values), count=len(dim.values),
-                            abstracted=dim.abstractable)
-    return RangeSummary(dim.kind, min_value=min(dim.values), max_value=max(dim.values),
-                        count=len(dim.values), abstracted=dim.abstractable)
-
-
-@dataclass(frozen=True)
 class PublicationItem:
     kind: ItemKind
     fixed: Dict[str, Value]
@@ -93,14 +72,6 @@ class PublicationItem:
         return canonical_id_for(list(self.fixed), self.fixed)
 
 
-def _kind_for(fixed: Dict[str, Value], catalog: ProductCatalog) -> ItemKind:
-    if not fixed:
-        return ItemKind.ABSTRACT
-    if len(fixed) == len(catalog.dimensions):
-        return ItemKind.CONCRETE
-    return ItemKind.PARTIAL
-
-
 def _snapshot(catalog: ProductCatalog,
               inventory: Optional[InventorySnapshot]) -> InventorySnapshot:
     if inventory is None:
@@ -118,13 +89,13 @@ def any_available(catalog: ProductCatalog, inventory: InventorySnapshot,
                for v in consistent_variations(catalog, fixed))
 
 
-def _concrete_item(catalog: ProductCatalog, inventory: InventorySnapshot,
-                   v: Variation, requires_elevation: bool) -> PublicationItem:
+def _concrete_item(inventory: InventorySnapshot, v: Variation, exact_price: Decimal,
+                   requires_elevation: bool) -> PublicationItem:
     return PublicationItem(
         kind=ItemKind.CONCRETE,
-        fixed=dict(v.assignments),
+        fixed=v.assignments,
         ranges={},
-        exact_price=price(catalog, v),
+        exact_price=exact_price,
         price_range=None,
         available=inventory.is_available(v.canonical_id),
         requires_elevation=requires_elevation,
@@ -132,20 +103,18 @@ def _concrete_item(catalog: ProductCatalog, inventory: InventorySnapshot,
     )
 
 
-def _ranged_item(catalog: ProductCatalog, inventory: InventorySnapshot,
-                 fixed: Dict[str, Value]) -> PublicationItem:
-    kind = _kind_for(fixed, catalog)
-    if kind is ItemKind.CONCRETE:
+def _fixed_set_item(catalog: ProductCatalog, inventory: InventorySnapshot,
+                    fixed: Dict[str, Value]) -> PublicationItem:
+    """The elevated item for a partial assignment: the dimensions it leaves
+    open are published as ranges, and a set that fixes every dimension is a
+    concrete item."""
+    if len(fixed) == len(catalog.dimensions):
         v = catalog.variation(fixed)
-        return _concrete_item(catalog, inventory, v, requires_elevation=True)
-    ranges = {
-        d.name: summarize_dimension(d)
-        for d in catalog.dimensions if d.name not in fixed
-    }
+        return _concrete_item(inventory, v, price(catalog, v), requires_elevation=True)
     return PublicationItem(
-        kind=kind,
-        fixed=dict(fixed),
-        ranges=ranges,
+        kind=ItemKind.PARTIAL if fixed else ItemKind.ABSTRACT,
+        fixed=fixed,
+        ranges={d.name: d.summary for d in catalog.dimensions if d.name not in fixed},
         exact_price=None,
         price_range=price_bounds(catalog, fixed),
         available=any_available(catalog, inventory, fixed),
@@ -157,27 +126,17 @@ def iter_full_materialization(catalog: ProductCatalog,
                               inventory: Optional[InventorySnapshot] = None,
                               hard_cap: int = DEFAULT_HARD_CAP) -> Iterator[PublicationItem]:
     """Streaming full materialization: one concrete item per variation. The
-    enumeration only yields catalog values, so the price is summed from
-    per-value deltas looked up once, in the same order `price` adds them."""
+    prices run through a product of the price table's deltas in lockstep with
+    the enumeration, added in the same order `price` adds them."""
     total = count_variations(catalog)
     if total > hard_cap:
         raise MaterializationCapExceeded(total, hard_cap)
     inv = _snapshot(catalog, inventory)
     base = catalog.pricing.base_price
-    deltas = itertools.product(*(
-        [catalog.pricing.delta(d.name, value) for value in d.values]
-        for d in catalog.dimensions))
+    deltas = itertools.product(*(deltas.values() for _, deltas, _, _ in catalog.price_table))
     for v, ds in zip(enumerate_variations(catalog), deltas):
-        yield PublicationItem(
-            kind=ItemKind.CONCRETE,
-            fixed=v.assignments,
-            ranges={},
-            exact_price=sum(ds, base).quantize(TWO_PLACES),
-            price_range=None,
-            available=inv.is_available(v.canonical_id),
-            requires_elevation=False,
-            canonical_id=v.canonical_id,
-        )
+        yield _concrete_item(inv, v, sum(ds, base).quantize(TWO_PLACES),
+                             requires_elevation=False)
 
 
 def full_materialization(catalog: ProductCatalog,
@@ -190,7 +149,7 @@ def abstraction(catalog: ProductCatalog,
                 inventory: Optional[InventorySnapshot] = None) -> List[PublicationItem]:
     """One maximally abstract item: every dimension summarized as a range."""
     inv = _snapshot(catalog, inventory)
-    return [_ranged_item(catalog, inv, {})]
+    return [_fixed_set_item(catalog, inv, {})]
 
 
 class PickerPolicy(str, Enum):
@@ -224,7 +183,7 @@ def specialization(catalog: ProductCatalog,
         raise HeuristicError(f"unknown picker policy {picker!r}")
     if chosen is None:
         raise NoAvailableVariation("no available variation in inventory")
-    return [_concrete_item(catalog, inv, chosen, requires_elevation=True)]
+    return [_concrete_item(inv, chosen, price(catalog, chosen), requires_elevation=True)]
 
 
 def type_level_materialization(catalog: ProductCatalog,
@@ -233,7 +192,7 @@ def type_level_materialization(catalog: ProductCatalog,
     """One item per value per dimension: sum of dimension lengths items."""
     inv = _snapshot(catalog, inventory)
     return [
-        _ranged_item(catalog, inv, {d.name: v})
+        _fixed_set_item(catalog, inv, {d.name: v})
         for d in catalog.dimensions
         for v in d.values
     ]
@@ -305,11 +264,8 @@ def selective_instance_materialization(catalog: ProductCatalog,
         raise HeuristicError("classification must partition the catalog's dimensions")
     inv = _snapshot(catalog, inventory)
     short_dims = [d for d in catalog.dimensions if d.name in classification.short]
-    items = []
-    for combo in itertools.product(*(d.values for d in short_dims)):
-        fixed = {d.name: v for d, v in zip(short_dims, combo)}
-        items.append(_ranged_item(catalog, inv, fixed))
-    return items
+    return [_fixed_set_item(catalog, inv, {d.name: v for d, v in zip(short_dims, combo)})
+            for combo in itertools.product(*(d.values for d in short_dims))]
 
 
 @dataclass

@@ -32,6 +32,8 @@ from .heuristics import (
 EPOCH_HEADER = "X-Inventory-Epoch"
 MAX_PER_PAGE = 200
 DEFAULT_PER_PAGE = 50
+# A booking or reset body is well under 1 KiB.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class BadSearchRequest(ValueError):
@@ -234,6 +236,16 @@ class ResolverHandler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
+            status, message = ((400, "Content-Length must be a non-negative integer")
+                               if length < 0 else
+                               (413, f"request body exceeds {MAX_BODY_BYTES} bytes"))
+            self._error(status, message, self.service.snapshot().epoch)
+            return
+        try:
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")

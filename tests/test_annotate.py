@@ -224,8 +224,8 @@ class TestConformity:
         assert ("annotation", "p-bogus") in report.orphans
 
     # Valid JSON that is not an object is as malformed as text that is not JSON.
-    @pytest.mark.parametrize("block", ["{not json]", "[1]", '"x"', "null"],
-                             ids=["not-json", "array", "string", "null"])
+    @pytest.mark.parametrize("block", ["{not json]", "[1]", '"x"', "null", "[" * 100_000],
+                             ids=["not-json", "array", "string", "null", "deep-nesting"])
     def test_malformed_block_is_orphan_not_crash(self, eval_hotel, block):
         page = self.make_page(eval_hotel).decode("utf-8")
         extra = f'<script type="application/ld+json">{block}</script>\n'

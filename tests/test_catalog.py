@@ -11,6 +11,7 @@ from matpub.catalog import (
     DimensionKind,
     InventoryState,
     ValidationError,
+    Variation,
     canonical_id_for,
     count_variations,
     enumerate_variations,
@@ -27,6 +28,7 @@ from conftest import (
     eval_hotel_n,
     make_catalog,
     oracle_price,
+    oracle_price_bounds,
     oracle_variations,
 )
 
@@ -122,9 +124,16 @@ class TestPricing:
             assert price(eval_hotel, v) == oracle_price(eval_hotel, v.assignments)
 
     def test_bounds_match_oracle_on_small_catalog(self, tshirt):
-        from conftest import oracle_price_bounds
         assert price_bounds(tshirt, {}) == oracle_price_bounds(tshirt, {})
         assert price_bounds(tshirt, {"size": "L"}) == oracle_price_bounds(tshirt, {"size": "L"})
+
+    @pytest.mark.parametrize("assignments", [
+        {"color": "red", "size": "S"},
+        {"color": "red", "size": "XL", "cut": "slim"},
+    ], ids=["missing-dimension", "unknown-value"])
+    def test_price_rejects_assignment_outside_catalog(self, tshirt, assignments):
+        with pytest.raises(ValidationError):
+            price(tshirt, Variation(assignments, "x"))
 
 
 class TestAvailability:
@@ -198,6 +207,13 @@ class TestDimensionDef:
     def test_duplicate_dimension_names_rejected(self):
         with pytest.raises(CatalogError):
             make_catalog([("a", "categorical", ["x"]), ("a", "categorical", ["y"])])
+
+    # The HTTP API takes these as paging parameters, so a dimension of either
+    # name could never be constrained in a search.
+    @pytest.mark.parametrize("name", ["page", "per_page"])
+    def test_paging_parameter_names_rejected(self, name):
+        with pytest.raises(CatalogError, match=name):
+            make_catalog([("a", "categorical", ["x"]), (name, "ordinal", [1, 2])])
 
 
 class TestLoadingAndResizing:
@@ -290,3 +306,12 @@ def test_fixed_enumeration_is_filtered_full_enumeration(data):
     assert [v.assignments for v in got] == expected
     assert [v.canonical_id for v in got] == [
         canonical_id_for(catalog.dimension_names, a) for a in expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_price_bounds_match_oracle(data):
+    catalog = data.draw(catalog_strategy())
+    fixed = {d.name: data.draw(st.sampled_from(d.values))
+             for d in catalog.dimensions if data.draw(st.booleans())}
+    assert price_bounds(catalog, fixed) == oracle_price_bounds(catalog, fixed)

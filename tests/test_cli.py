@@ -105,6 +105,15 @@ class TestGenerate:
         config = write_config(workdir, hard_cap=100)
         assert self.run(workdir, "full", config=config) == 2
 
+    def test_sold_out_specialization_is_exit_2(self, workdir, capsys):
+        catalog = json.loads((workdir / "catalog.json").read_text())
+        catalog["inventory"]["availability_rate"] = 0.0
+        (workdir / "catalog.json").write_text(json.dumps(catalog))
+        assert self.run(workdir, "specialization") == 2
+        err = capsys.readouterr().err
+        assert "no available variation" in err
+        assert "Traceback" not in err
+
     def test_deterministic_output(self, workdir):
         self.run(workdir, "selective", out="a")
         self.run(workdir, "selective", out="b")

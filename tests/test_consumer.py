@@ -7,6 +7,7 @@ from matpub.annotate import elevate, render_page, serialize
 from matpub.catalog import enumerate_variations
 from matpub.consumer import (
     Client,
+    ResolutionTrace,
     TransportError,
     _expand_template,
     extract_annotations,
@@ -65,6 +66,14 @@ class TestExtraction:
         mutated = page.replace(blocks[0], "{broken", 1)
         parsed, warnings = extract_annotations(mutated.encode("utf-8"))
         assert len(parsed) == 7
+        assert len(warnings) == 1
+        assert "malformed" in warnings[0]
+
+    def test_deeply_nested_block_is_skipped_with_warning(self):
+        page = (b'<html><body><script type="application/ld+json">'
+                + b"[" * 100_000 + b"</script></body></html>")
+        parsed, warnings = extract_annotations(page)
+        assert parsed == []
         assert len(warnings) == 1
         assert "malformed" in warnings[0]
 
@@ -150,6 +159,37 @@ class TestResolve:
     def test_transport_error_after_bounded_retries(self):
         with pytest.raises(TransportError):
             Client().fetch_page("http://127.0.0.1:1/page/full")
+
+
+class TestHttpErrors:
+    """An error status or a body that is not JSON is a TransportError, not an
+    empty result; an error status is not retried."""
+
+    def test_bad_paging_search_is_transport_error(self, server):
+        trace = ResolutionTrace("abstraction", {})
+        url = f"{server.endpoint_base}/api/search?per_page=0"
+        with pytest.raises(TransportError, match="400"):
+            Client()._search_step(trace, url)
+        assert trace.steps == []
+
+    def test_missing_page_is_transport_error_without_retry(self, server):
+        calls = []
+        with requests.Session() as session:
+            send = session.request
+
+            def counting_request(*args, **kwargs):
+                calls.append(args)
+                return send(*args, **kwargs)
+
+            session.request = counting_request
+            with pytest.raises(TransportError, match="404"):
+                Client(session).fetch_page(page_url(server, "no-such-heuristic"))
+        assert len(calls) == 1
+
+    def test_search_answer_that_is_not_json_is_transport_error(self, server):
+        trace = ResolutionTrace("abstraction", {})
+        with pytest.raises(TransportError, match="not JSON"):
+            Client()._search_step(trace, page_url(server, "abstraction"))
 
 
 class TestHitRatioExperiment:

@@ -1,4 +1,5 @@
 import random
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,7 +8,7 @@ import requests
 
 from matpub.catalog import count_variations, enumerate_variations
 from matpub.heuristics import HeuristicPolicies
-from matpub.resolver import MAX_PER_PAGE
+from matpub.resolver import MAX_BODY_BYTES, MAX_PER_PAGE
 
 from conftest import eval_hotel_n, live_server, make_catalog, oracle_search
 
@@ -158,6 +159,24 @@ class TestBooking:
         response = requests.post(server.endpoint_base + "/api/book",
                                  data=b"{not json", timeout=30)
         assert response.status_code == 400
+
+    # The server must answer without waiting for a body it will not read, and
+    # then close the connection; on a hang, the socket timeout fails the test.
+    @pytest.mark.parametrize("length, status", [
+        ("-1", b"400"), ("abc", b"400"), (str(MAX_BODY_BYTES + 1), b"413"),
+        ("999999999", b"413"),
+    ], ids=["negative", "non-integer", "just-over-cap", "huge"])
+    def test_bad_content_length_answered_and_closed(self, server, length, status):
+        host, port = server.endpoint_base.split("//")[1].split(":")
+        request = (f"POST /api/book HTTP/1.1\r\nHost: {host}\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode("ascii")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):  # b"" once the server closes
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 " + status)
 
     def test_read_your_writes(self, hotel10):
         with live_server(hotel10) as service:
