@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import quote, unquote
@@ -162,6 +162,13 @@ class ProductCatalog:
             raise CatalogError("availability rate must be in [0, 1]")
         if self.inventory_seed < 0 or self.inventory_seed >= 2 ** 64:
             raise CatalogError("inventory seed must be a 64-bit unsigned integer")
+        values = {d.name: d.values for d in self.dimensions}
+        for name, value in self.pricing.modifiers:
+            if name not in values:
+                raise CatalogError(f"pricing modifier on unknown dimension {name!r}")
+            if value not in values[name]:
+                raise CatalogError(
+                    f"pricing modifier on value {value!r} not in dimension {name!r}")
         lo, _ = price_bounds(self, {})
         if lo <= 0:
             raise CatalogError(f"pricing drives some variation to {lo} <= 0")
@@ -288,14 +295,19 @@ def price_bounds(catalog: ProductCatalog,
     return lo.quantize(TWO_PLACES), hi.quantize(TWO_PLACES)
 
 
+@lru_cache(maxsize=8)
+def _keyed_hasher(seed: int):
+    """A blake2b keyed with the seed and fed nothing yet. Keying costs a
+    compression of the key block, so it is done once per seed and the
+    hasher is copied per id; the shared one is never updated."""
+    return hashlib.blake2b(key=seed.to_bytes(8, "big"), digest_size=8)
+
+
 def availability_score(seed: int, canonical_id: str) -> float:
     """Keyed hash of the canonical id mapped to [0, 1)."""
-    digest = hashlib.blake2b(
-        canonical_id.encode("utf-8"),
-        key=seed.to_bytes(8, "big"),
-        digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, "big") / 2 ** 64
+    hasher = _keyed_hasher(seed).copy()
+    hasher.update(canonical_id.encode("utf-8"))
+    return int.from_bytes(hasher.digest(), "big") / 2 ** 64
 
 
 def initial_availability(catalog: ProductCatalog, v: Variation) -> bool:

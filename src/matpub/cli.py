@@ -163,7 +163,7 @@ def cmd_serve(config: Config) -> int:
                               endpoint_base=config.endpoint_base)
 
     def log_request(line: str):
-        _log(f"[{time.strftime('%H:%M:%S')}] {line} epoch={service.snapshot().epoch}")
+        _log(f"[{time.strftime('%H:%M:%S')}] {line} epoch={service.epoch}")
 
     try:
         server = make_server(service, host=config.host, port=config.port,

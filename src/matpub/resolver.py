@@ -51,7 +51,15 @@ class BookingResult:
 
 class ResolverService:
     """Owns the inventory behind a single serialization point. All mutations
-    (book, reset) are totally ordered; reads work off epoch-stamped snapshots."""
+    (book, reset) are totally ordered; reads work off epoch-stamped snapshots.
+
+    Bulk pages (no `page` parameter) are cached per heuristic. The cache is
+    keyed on the inventory generation, which counts every confirmed booking
+    and every reset and never rewinds, not on the epoch: a reset sets the
+    epoch back to 0 and may reseed, so one epoch can name two inventories.
+    A stored page also depends on the catalog, the policies and the endpoint
+    base, so none of them may change once pages are served (`make_server`
+    sets the endpoint base before it serves)."""
 
     def __init__(self, catalog: ProductCatalog,
                  policies: Optional[HeuristicPolicies] = None,
@@ -61,12 +69,29 @@ class ResolverService:
         self.endpoint_base = endpoint_base
         self._inventory = InventoryState(catalog)
         self._lock = threading.Lock()
+        # Guarded by _lock. Holds at most one body per heuristic, all built
+        # at the current generation.
+        self._generation = 0
+        self._bulk_pages: Dict[str, Tuple[bytes, int]] = {}
 
     # -- inventory -----------------------------------------------------------
 
     def snapshot(self) -> InventorySnapshot:
         with self._lock:
             return self._inventory.snapshot()
+
+    @property
+    def epoch(self) -> int:
+        """The current epoch, without copying the overrides."""
+        with self._lock:
+            return self._inventory.epoch
+
+    def _inventory_changed(self):
+        """Called under _lock after every change to the inventory. Dropping
+        the stale bodies here keeps them from being held while their
+        successors are built."""
+        self._generation += 1
+        self._bulk_pages.clear()
 
     def book(self, canonical_id: str) -> BookingResult:
         """Book under the variation's canonical id, whatever spelling of it
@@ -79,6 +104,8 @@ class ResolverService:
         canonical_id = self.catalog.variation(assignments).canonical_id
         with self._lock:
             confirmed = self._inventory.book(canonical_id)
+            if confirmed:
+                self._inventory_changed()
             epoch = self._inventory.epoch
         return BookingResult("confirmed" if confirmed else "already_booked",
                              canonical_id, epoch)
@@ -86,6 +113,7 @@ class ResolverService:
     def reset(self, seed: Optional[int] = None) -> int:
         with self._lock:
             self._inventory.reset(seed)
+            self._inventory_changed()
             return self._inventory.epoch
 
     # -- search --------------------------------------------------------------
@@ -130,9 +158,29 @@ class ResolverService:
 
     def page_html(self, heuristic: str, page: Optional[int] = None,
                   per_page: Optional[int] = None) -> Tuple[bytes, int]:
-        """Build the page from the current snapshot, streaming the annotations
-        into the response buffer."""
-        snapshot = self.snapshot()
+        """The page and the epoch it was built at. A bulk page is built once
+        per inventory generation and then served from the cache; a paginated
+        page is built per request, since `page` x `per_page` has no bound.
+        Pages are built outside the lock, streaming the annotations into the
+        response buffer."""
+        if page is not None:
+            return self._build_page(heuristic, self.snapshot(), page, per_page)
+        with self._lock:
+            cached = self._bulk_pages.get(heuristic)
+            if cached is not None:
+                return cached
+            generation = self._generation
+            snapshot = self._inventory.snapshot()
+        built = self._build_page(heuristic, snapshot)
+        with self._lock:
+            # A booking or reset during the build has made it stale.
+            if self._generation == generation:
+                self._bulk_pages[heuristic] = built
+        return built
+
+    def _build_page(self, heuristic: str, snapshot: InventorySnapshot,
+                    page: Optional[int] = None,
+                    per_page: Optional[int] = None) -> Tuple[bytes, int]:
         annotations = annotation_stream(self.catalog, heuristic, snapshot,
                                         self.policies, self.endpoint_base)
         body = render_page(annotations, self.catalog, page=page, per_page=per_page)
@@ -197,10 +245,10 @@ class ResolverHandler(BaseHTTPRequestHandler):
         elif url.path == "/api/search":
             self._get_search(query)
         else:
-            self._error(404, f"no such path {url.path!r}", self.service.snapshot().epoch)
+            self._error(404, f"no such path {url.path!r}", self.service.epoch)
 
     def _get_page(self, heuristic: str, query: Dict[str, str]):
-        epoch = self.service.snapshot().epoch
+        epoch = self.service.epoch
         if heuristic not in HEURISTIC_NAMES:
             self._error(404, f"unknown heuristic {heuristic!r}", epoch)
             return
@@ -226,8 +274,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
             page, per_page = _parse_paging(query)
             offers, total, epoch = self.service.search(query, page, per_page)
         except BadSearchRequest as exc:
-            self._error(400, str(exc), self.service.snapshot().epoch,
-                        offender=exc.offender)
+            self._error(400, str(exc), self.service.epoch, offender=exc.offender)
             return
         self._json(200, {"offers": offers, "total_count": total,
                          "page": page, "per_page": per_page}, epoch)
@@ -243,20 +290,19 @@ class ResolverHandler(BaseHTTPRequestHandler):
             status, message = ((400, "Content-Length must be a non-negative integer")
                                if length < 0 else
                                (413, f"request body exceeds {MAX_BODY_BYTES} bytes"))
-            self._error(status, message, self.service.snapshot().epoch)
+            self._error(status, message, self.service.epoch)
             return
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
         except (ValueError, json.JSONDecodeError):
-            self._error(400, "malformed JSON body", self.service.snapshot().epoch)
+            self._error(400, "malformed JSON body", self.service.epoch)
             return
         if url.path == "/api/book":
             canonical_id = body.get("canonical_id")
             if not isinstance(canonical_id, str) or not canonical_id:
-                self._error(400, "canonical_id (string) required",
-                            self.service.snapshot().epoch)
+                self._error(400, "canonical_id (string) required", self.service.epoch)
                 return
             result = self.service.book(canonical_id)
             self._json(200, {"status": result.status,
@@ -265,13 +311,12 @@ class ResolverHandler(BaseHTTPRequestHandler):
         elif url.path == "/admin/reset":
             seed = body.get("seed")
             if seed is not None and not isinstance(seed, int):
-                self._error(400, "seed must be an integer",
-                            self.service.snapshot().epoch)
+                self._error(400, "seed must be an integer", self.service.epoch)
                 return
             epoch = self.service.reset(seed)
             self._json(200, {"epoch": epoch}, epoch)
         else:
-            self._error(404, f"no such path {url.path!r}", self.service.snapshot().epoch)
+            self._error(404, f"no such path {url.path!r}", self.service.epoch)
 
 
 def make_server(service: ResolverService, host: str = "127.0.0.1", port: int = 0,

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from decimal import Decimal
 
 import pytest
@@ -12,7 +14,9 @@ from matpub.catalog import (
     InventoryState,
     ValidationError,
     Variation,
+    availability_score,
     canonical_id_for,
+    catalog_from_dict,
     count_variations,
     enumerate_variations,
     initial_availability,
@@ -119,6 +123,18 @@ class TestPricing:
             make_catalog([("a", "categorical", ["x", "y"])], base="10.00",
                          modifiers={("a", "y"): "-10.00"})
 
+    # A modifier outside the catalog would price nothing: one on a misspelt
+    # dimension, and one whose value is a string for an ordinal dimension.
+    @pytest.mark.parametrize("modifier", [
+        {"dimension": "catering ", "value": "half-board", "delta": 10},
+        {"dimension": "stay", "value": "7", "delta": -5},
+    ], ids=["unknown-dimension", "value-not-in-dimension"])
+    def test_modifier_outside_catalog_rejected(self, modifier):
+        doc = json.loads(EVAL_HOTEL_PATH.read_text(encoding="utf-8"))
+        doc["pricing"]["modifiers"].append(modifier)
+        with pytest.raises(CatalogError, match="modifier"):
+            catalog_from_dict(doc)
+
     def test_price_matches_oracle(self, eval_hotel):
         for v in enumerate_variations(eval_hotel, limit=200):
             assert price(eval_hotel, v) == oracle_price(eval_hotel, v.assignments)
@@ -163,6 +179,17 @@ class TestAvailability:
         b = InventoryState(c).snapshot()
         ids = [v.canonical_id for v in enumerate_variations(c, limit=100)]
         assert [a.is_available(i) for i in ids] == [b.is_available(i) for i in ids]
+
+    # The hasher is keyed once per seed and copied per id; the scores must be
+    # those of a hasher keyed afresh for every call.
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)),
+           canonical_id=st.text())
+    def test_score_is_keyed_blake2b(self, seed, canonical_id):
+        digest = hashlib.blake2b(canonical_id.encode("utf-8"), key=seed.to_bytes(8, "big"),
+                                 digest_size=8).digest()
+        assert availability_score(seed, canonical_id) == \
+            int.from_bytes(digest, "big") / 2 ** 64
 
 
 class TestInventoryState:

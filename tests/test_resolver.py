@@ -6,9 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 import requests
 
+import reference_annotate as reference
+from matpub import heuristics
 from matpub.catalog import count_variations, enumerate_variations
-from matpub.heuristics import HeuristicPolicies
-from matpub.resolver import MAX_BODY_BYTES, MAX_PER_PAGE
+from matpub.consumer import extract_annotations
+from matpub.heuristics import HEURISTIC_NAMES, HeuristicPolicies
+from matpub.resolver import MAX_BODY_BYTES, MAX_PER_PAGE, ResolverService
 
 from conftest import eval_hotel_n, live_server, make_catalog, oracle_search
 
@@ -75,6 +78,114 @@ class TestPages:
         response = get(server, path, **params)
         assert response.status_code == 400
         assert response.json()["offender"] == offender
+
+
+class TestBulkPageCache:
+    """A bulk page is built once per inventory change (in process)."""
+
+    @pytest.fixture
+    def service(self):
+        return ResolverService(eval_hotel_n(3))  # 720 variations, all available
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The heuristic of every `publication_items` call, made through the
+        module attribute that `annotation_stream` looks up when it runs."""
+        calls = []
+        publication_items = heuristics.publication_items
+
+        def counting(catalog, heuristic, *args, **kwargs):
+            calls.append(heuristic)
+            return publication_items(catalog, heuristic, *args, **kwargs)
+
+        monkeypatch.setattr(heuristics, "publication_items", counting)
+        return calls
+
+    @staticmethod
+    def fresh_full_page(service):
+        """The full page built by the reference renderer from the current
+        inventory, independent of the service's own pages."""
+        annotated = reference.annotations(service.catalog, "full", service.snapshot(),
+                                          service.policies, service.endpoint_base)
+        return reference.page(service.catalog, annotated)
+
+    @staticmethod
+    def book_all(service, variations):
+        for v in variations:
+            assert service.book(v.canonical_id).status == "confirmed"
+
+    @staticmethod
+    def out_of_stock(body):
+        parsed, warnings = extract_annotations(body)
+        assert warnings == []
+        return [a.fixed for a in parsed if not a.available]
+
+    @pytest.mark.parametrize("heuristic", HEURISTIC_NAMES)
+    def test_unchanged_inventory_is_not_rebuilt(self, service, builds, heuristic):
+        first = service.page_html(heuristic)
+        assert service.page_html(heuristic) == first
+        assert builds == [heuristic]
+
+    def test_paginated_pages_are_built_per_request(self, service, builds):
+        first = service.page_html("full", page=2, per_page=10)
+        assert service.page_html("full", page=2, per_page=10) == first
+        assert builds == ["full", "full"]
+
+    def test_booking_rebuilds_the_full_page(self, service):
+        assert self.out_of_stock(service.page_html("full")[0]) == []
+        booked = list(enumerate_variations(service.catalog))[100]
+        self.book_all(service, [booked])
+        body, epoch = service.page_html("full")
+        assert epoch == 1
+        assert self.out_of_stock(body) == [booked.assignments]
+        assert body == self.fresh_full_page(service)
+
+    def test_same_epoch_after_reset_is_another_inventory(self, service):
+        variations = list(enumerate_variations(service.catalog))
+        first, second = variations[:3], variations[-3:]
+        self.book_all(service, first)
+        body, epoch = service.page_html("full")
+        assert (self.out_of_stock(body), epoch) == ([v.assignments for v in first], 3)
+        service.reset()
+        self.book_all(service, second)
+        body, epoch = service.page_html("full")
+        assert (self.out_of_stock(body), epoch) == ([v.assignments for v in second], 3)
+        assert body == self.fresh_full_page(service)
+
+    def test_booking_during_a_build_is_not_lost(self, service, monkeypatch):
+        """A build that a booking overtakes is served to its own request but
+        not kept: the next request builds again and shows the booking."""
+        started, release = threading.Event(), threading.Event()
+        builds = []
+        publication_items = heuristics.publication_items
+
+        def blocking(*args, **kwargs):
+            items = publication_items(*args, **kwargs)
+            builds.append(args[1])
+            if len(builds) == 1:  # hold the first build after its first item
+                yield next(items)
+                started.set()
+                assert release.wait(timeout=30)
+            yield from items
+
+        monkeypatch.setattr(heuristics, "publication_items", blocking)
+        results = []
+        builder = threading.Thread(target=lambda: results.append(service.page_html("full")))
+        builder.start()
+        try:
+            assert started.wait(timeout=30)
+            booked = list(enumerate_variations(service.catalog))[-1]
+            self.book_all(service, [booked])
+        finally:
+            release.set()
+            builder.join(timeout=30)
+        assert not builder.is_alive()
+        (stale, stale_epoch), = results
+        assert (self.out_of_stock(stale), stale_epoch) == ([], 0)
+        body, epoch = service.page_html("full")
+        assert (self.out_of_stock(body), epoch) == ([booked.assignments], 1)
+        assert body == self.fresh_full_page(service)
+        assert builds == ["full", "full"]
 
 
 class TestSearch:
