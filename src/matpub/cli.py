@@ -16,9 +16,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .annotate import annotation_stream, render_page_stream
-from .bench import SweepConfig, emit_csv, emit_gnuplot, run_sweep
 from .catalog import CatalogError, InventoryState, ProductCatalog, load_catalog, parse_value
-from .consumer import Client, TransportError, hit_ratio_experiment
 from .heuristics import (
     HEURISTIC_NAMES,
     ClassificationMode,
@@ -194,6 +192,10 @@ def _parse_query(pairs: Sequence[str], catalog: ProductCatalog) -> dict:
 
 def cmd_crawl(config: Config, page_url: str, query: Sequence[str], book: bool,
               experiment: Optional[int], seed: int) -> int:
+    # The HTTP client stack is imported here, not at module level, so that
+    # `serve` and `generate` never load it.
+    from .consumer import Client, TransportError, hit_ratio_experiment
+
     catalog = config.catalog()
     try:
         if experiment is not None:
@@ -214,6 +216,8 @@ def cmd_crawl(config: Config, page_url: str, query: Sequence[str], book: bool,
 
 
 def cmd_bench(config: Config, gnuplot: bool = False) -> int:
+    from .bench import SweepConfig, emit_csv, emit_gnuplot, run_sweep
+
     sweep = SweepConfig(
         n_values=config.bench_n_values,
         heuristics=config.bench_heuristics,

@@ -53,7 +53,7 @@ class ResolverService:
     """Owns the inventory behind a single serialization point. All mutations
     (book, reset) are totally ordered; reads work off epoch-stamped snapshots.
 
-    Bulk pages (no `page` parameter) are cached per heuristic. The cache is
+    Bulk pages (no paging parameter) are cached per heuristic. The cache is
     keyed on the inventory generation, which counts every confirmed booking
     and every reset and never rewinds, not on the epoch: a reset sets the
     epoch back to 0 and may reseed, so one epoch can name two inventories.
@@ -190,6 +190,17 @@ class ResolverService:
 # ---------------------------------------------------------------------------
 # HTTP layer
 
+def _parse_query(raw: str) -> Dict[str, str]:
+    """A request's query string as a dict; a parameter given more than once
+    is a BadSearchRequest naming it."""
+    query: Dict[str, str] = {}
+    for name, value in parse_qsl(raw, keep_blank_values=True):
+        if name in query:
+            raise BadSearchRequest(f"parameter {name!r} given more than once", name)
+        query[name] = value
+    return query
+
+
 def _parse_paging(query: Dict[str, str]) -> Tuple[int, int]:
     """Pop `page` and `per_page` off a request's query and check them; a
     BadSearchRequest names the parameter at fault."""
@@ -227,7 +238,8 @@ class ResolverHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.send_header(EPOCH_HEADER, str(epoch))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a HEAD gets the GET's headers only
+            self.wfile.write(body)
 
     def _json(self, status: int, doc, epoch: int):
         self._respond(status, _json_bytes(doc), "application/json; charset=utf-8", epoch)
@@ -239,21 +251,27 @@ class ResolverHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         url = urlparse(self.path)
-        query = dict(parse_qsl(url.query, keep_blank_values=True))
         if url.path.startswith("/page/"):
-            self._get_page(url.path[len("/page/"):], query)
+            self._get_page(url.path[len("/page/"):], url.query)
         elif url.path == "/api/search":
-            self._get_search(query)
+            self._get_search(url.query)
         else:
             self._error(404, f"no such path {url.path!r}", self.service.epoch)
 
-    def _get_page(self, heuristic: str, query: Dict[str, str]):
+    do_HEAD = do_GET
+
+    def _get_page(self, heuristic: str, raw_query: str):
         epoch = self.service.epoch
         if heuristic not in HEURISTIC_NAMES:
             self._error(404, f"unknown heuristic {heuristic!r}", epoch)
             return
         try:
-            page, per_page = _parse_paging(query) if "page" in query else (None, None)
+            query = _parse_query(raw_query)
+            unknown = [name for name in query if name not in ("page", "per_page")]
+            if unknown:
+                raise BadSearchRequest(f"unknown parameter {unknown[0]!r}", unknown[0])
+            # Either paging parameter on its own selects a paginated page.
+            page, per_page = _parse_paging(query) if query else (None, None)
             body, epoch = self.service.page_html(heuristic, page=page, per_page=per_page)
         except BadSearchRequest as exc:
             self._error(400, str(exc), epoch, offender=exc.offender)
@@ -269,8 +287,9 @@ class ResolverHandler(BaseHTTPRequestHandler):
             return
         self._respond(200, body, "text/html; charset=utf-8", epoch)
 
-    def _get_search(self, query: Dict[str, str]):
+    def _get_search(self, raw_query: str):
         try:
+            query = _parse_query(raw_query)
             page, per_page = _parse_paging(query)
             offers, total, epoch = self.service.search(query, page, per_page)
         except BadSearchRequest as exc:

@@ -210,14 +210,17 @@ class TestBench:
         assert "capped" in (workdir / "capped.csv").read_text()
 
 
+# A fresh interpreter with matpub on its path and the OS picking the port.
+SUBPROCESS_ENV = {"MATPUB_PORT": "0", "PATH": "/usr/bin:/bin:/usr/local/bin",
+                  "PYTHONPATH": str(REPO_ROOT / "src")}
+
+
 class TestServeSubprocess:
     def test_serve_responds_and_shuts_down_cleanly(self, workdir):
-        env = {"MATPUB_PORT": "0", "PATH": "/usr/bin:/bin:/usr/local/bin",
-               "PYTHONPATH": str(REPO_ROOT / "src")}
         proc = subprocess.Popen(
             [sys.executable, "-m", "matpub.cli", "serve",
              "--config", str(workdir / "config.json")],
-            stderr=subprocess.PIPE, text=True, env=env)
+            stderr=subprocess.PIPE, text=True, env=SUBPROCESS_ENV)
         try:
             line = proc.stderr.readline()
             assert "serving on" in line
@@ -227,3 +230,39 @@ class TestServeSubprocess:
         finally:
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=10) == 0
+
+
+class TestServeImports:
+    """Serving loads no HTTP client: `requests` and the modules built on it
+    are imported only by `crawl` and `bench`."""
+
+    # Prints which of these modules the interpreter has loaded; the resolver
+    # is listed to show that the check ran after matpub was imported.
+    REPORT = ("import sys\n"
+              "print(' '.join(m for m in ('requests', 'urllib3', 'matpub.consumer',"
+              " 'matpub.bench', 'matpub.resolver') if m in sys.modules))\n")
+
+    def test_importing_the_cli_loads_no_client(self):
+        done = subprocess.run([sys.executable, "-c", "import matpub.cli\n" + self.REPORT],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["matpub.resolver"]
+
+    def test_serving_loads_no_client(self, workdir):
+        script = ("import sys\nfrom matpub.cli import main\n"
+                  "code = main(['serve', '--config', sys.argv[1]])\n"
+                  + self.REPORT + "sys.exit(code)\n")
+        proc = subprocess.Popen([sys.executable, "-c", script, str(workdir / "config.json")],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=SUBPROCESS_ENV)
+        try:
+            line = proc.stderr.readline()
+            assert "serving on" in line
+            base = line.split("serving on ")[1].split()[0]
+            assert requests.get(f"{base}/page/abstraction", timeout=30).status_code == 200
+        finally:
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert out.split() == ["matpub.resolver"]

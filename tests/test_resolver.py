@@ -1,3 +1,4 @@
+import http.client
 import random
 import socket
 import threading
@@ -78,6 +79,82 @@ class TestPages:
         response = get(server, path, **params)
         assert response.status_code == 400
         assert response.json()["offender"] == offender
+
+    @pytest.mark.parametrize("path", ["/page/full", "/api/search"])
+    @pytest.mark.parametrize("query, offender", [
+        ("type=normal&type=comfort&per_page=1", "type"),
+        ("page=1&page=2", "page"),
+        ("per_page=5&per_page=5", "per_page"),
+    ], ids=["dimension", "page", "per_page-same-value"])
+    def test_repeated_parameter_is_400_naming_it(self, server, path, query, offender):
+        response = requests.get(f"{server.endpoint_base}{path}?{query}", timeout=30)
+        assert response.status_code == 400
+        assert response.json()["offender"] == offender
+
+    @pytest.mark.parametrize("params, offender", [
+        ({"bogus": 1}, "bogus"),
+        ({"page": 1, "per_page": 10, "type": "normal"}, "type"),
+        ({"per_page": 0}, "per_page"),
+        ({"page": "x"}, "page"),
+    ], ids=["unknown", "unknown-beside-paging", "per_page-0-alone", "page-bad-alone"])
+    def test_page_query_is_checked(self, server, params, offender):
+        response = get(server, "/page/full", **params)
+        assert response.status_code == 400
+        assert response.json()["offender"] == offender
+
+    def test_either_paging_parameter_selects_paging(self, server):
+        by_per_page = get(server, "/page/full", per_page=7)
+        assert by_per_page.status_code == 200
+        assert by_per_page.content == get(server, "/page/full", page=1, per_page=7).content
+        by_page = get(server, "/page/full", page=2)
+        assert by_page.status_code == 200
+        assert by_page.content == get(server, "/page/full", page=2, per_page=50).content
+        assert by_page.text.count("application/ld+json") == 50
+
+
+class TestHead:
+    """A HEAD gets the GET's status and headers and no body."""
+
+    @staticmethod
+    def connect(service):
+        host, port = service.endpoint_base.split("//")[1].split(":")
+        return http.client.HTTPConnection(host, int(port), timeout=30)
+
+    @staticmethod
+    def exchange(conn, method, path):
+        conn.request(method, path)
+        response = conn.getresponse()
+        return response.status, dict(response.getheaders()), response.read()
+
+    @pytest.mark.parametrize("path", [f"/page/{h}" for h in HEURISTIC_NAMES] + [
+        "/page/full?page=2&per_page=5", "/api/search?occupancy=single&per_page=3",
+        "/api/search?type=normal&type=comfort", "/page/bogus", "/nowhere",
+    ])
+    def test_head_matches_get(self, server, path):
+        head_conn, get_conn = self.connect(server), self.connect(server)
+        try:
+            head_status, head_headers, head_body = self.exchange(head_conn, "HEAD", path)
+            get_status, get_headers, get_body = self.exchange(get_conn, "GET", path)
+        finally:
+            head_conn.close()
+            get_conn.close()
+        assert head_body == b""
+        assert head_status == get_status
+        assert head_headers.keys() == get_headers.keys()
+        for name in ("Content-Type", "Content-Length", "X-Inventory-Epoch"):
+            assert head_headers[name] == get_headers[name]
+        assert int(head_headers["Content-Length"]) == len(get_body)
+
+    def test_get_after_head_on_one_connection(self, server):
+        conn = self.connect(server)
+        try:
+            head = self.exchange(conn, "HEAD", "/page/selective")
+            status, headers, body = self.exchange(conn, "GET", "/page/selective")
+        finally:
+            conn.close()
+        assert status == 200
+        assert len(body) == int(head[1]["Content-Length"]) == int(headers["Content-Length"])
+        assert body.count(b"application/ld+json") == 8
 
 
 class TestBulkPageCache:
