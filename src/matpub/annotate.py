@@ -15,7 +15,7 @@ from html.parser import HTMLParser
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from . import heuristics
-from .catalog import DimensionKind, InventorySnapshot, ProductCatalog, RangeSummary, Value
+from .catalog import DimensionKind, Inventory, ProductCatalog, RangeSummary, Value
 from .heuristics import ItemKind, PublicationItem
 
 SCHEMA_CONTEXT = "https://schema.org"
@@ -226,7 +226,7 @@ def serialize(item: PublicationItem, service: Optional[ServiceDescription],
 
 
 def annotation_stream(catalog: ProductCatalog, heuristic: str,
-                      snapshot: Optional[InventorySnapshot],
+                      snapshot: Optional[Inventory],
                       policies: Optional[heuristics.HeuristicPolicies],
                       endpoint_base: str) -> Iterator[Annotation]:
     """The publication pipeline: the heuristic's items, each elevated if it

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import requests
 
 from .annotate import ConformityScanner, annotation_stream, render_page_stream
-from .catalog import InventoryState, ProductCatalog, count_variations, resize_dimension
+from .catalog import Inventory, ProductCatalog, count_variations, resize_dimension
 from .heuristics import (
     HEURISTIC_NAMES,
     HeuristicPolicies,
@@ -73,13 +73,13 @@ class _GenPass:
     conformity: Optional[bool] = None
 
 
-def _generation_pass(catalog: ProductCatalog, heuristic: str,
-                     policies: HeuristicPolicies, endpoint_base: str,
-                     check_conformity: bool) -> _GenPass:
+def _publish_pass(catalog: ProductCatalog, heuristic: str,
+                  policies: HeuristicPolicies, endpoint_base: str,
+                  check_conformity: bool) -> _GenPass:
     """One full generation+render pass, streamed so the page never lives in
     memory. Optionally runs the conformity scanner over the stream."""
     result = _GenPass()
-    snapshot = InventoryState(catalog).snapshot()
+    snapshot = Inventory.initial(catalog)
     scanner = ConformityScanner() if check_conformity else None
 
     def annotations():
@@ -190,8 +190,8 @@ def _bench_one(catalog_n: ProductCatalog, n: int, heuristic: str,
     if heuristic == "full" and count > policies.hard_cap:
         raise MaterializationCapExceeded(count, policies.hard_cap)
     check_conformity = count <= config.conformity_item_cap
-    measured = _generation_pass(catalog_n, heuristic, policies, base_url,
-                                check_conformity)
+    measured = _publish_pass(catalog_n, heuristic, policies, base_url,
+                             check_conformity)
     if measured.count != count:
         raise BenchError(f"{heuristic} n={n}: generated {measured.count} items, "
                          f"closed form says {count}")
@@ -203,7 +203,7 @@ def _bench_one(catalog_n: ProductCatalog, n: int, heuristic: str,
     )
     if config.repetitions >= 3:
         mean, lo, hi = _timed(
-            lambda: _generation_pass(catalog_n, heuristic, policies, base_url, False),
+            lambda: _publish_pass(catalog_n, heuristic, policies, base_url, False),
             config.repetitions)
         record.gen_time_ms, record.gen_time_min_ms, record.gen_time_max_ms = mean, lo, hi
         if config.serve and count <= config.serve_item_cap:

@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 from urllib.parse import quote, unquote
 
 Value = Union[str, int]
@@ -160,8 +161,7 @@ class ProductCatalog:
             raise CatalogError("catalog needs at least one dimension")
         if not 0.0 <= self.base_availability_rate <= 1.0:
             raise CatalogError("availability rate must be in [0, 1]")
-        if self.inventory_seed < 0 or self.inventory_seed >= 2 ** 64:
-            raise CatalogError("inventory seed must be a 64-bit unsigned integer")
+        check_seed(self.inventory_seed)
         values = {d.name: d.values for d in self.dimensions}
         for name, value in self.pricing.modifiers:
             if name not in values:
@@ -208,6 +208,13 @@ class ProductCatalog:
         return Variation(ordered, canonical_id_for(self.dimension_names, ordered))
 
 
+def check_seed(seed) -> None:
+    """Raise CatalogError unless `seed` keys the availability hash: an
+    integer (not a bool) in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise CatalogError("inventory seed must be a 64-bit unsigned integer")
+
+
 def count_variations(catalog: ProductCatalog) -> int:
     """Product of dimension lengths; O(#dimensions), no enumeration."""
     n = 1
@@ -239,6 +246,18 @@ def enumerate_variations(catalog: ProductCatalog,
     return itertools.islice(gen, limit) if limit is not None else gen
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_integer(raw: str) -> int:
+    """An integer spelled `-?[0-9]+` in ASCII digits; leading zeros are
+    allowed. Any other spelling that int() takes (`+5`, `1_0`, ` 7 `,
+    non-ASCII digits) is a ValueError."""
+    if not _INTEGER.fullmatch(raw):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def parse_value(catalog: ProductCatalog, name: str, raw: str) -> Value:
     """Type a raw string as a value of the named dimension (an integer for an
     ordinal one). Raises ValidationError for an unknown dimension, a
@@ -247,7 +266,7 @@ def parse_value(catalog: ProductCatalog, name: str, raw: str) -> Value:
     value: Value = raw
     if dim.kind is DimensionKind.ORDINAL:
         try:
-            value = int(raw)
+            value = parse_integer(raw)
         except ValueError as exc:
             raise ValidationError(
                 f"dimension {name!r} expects an integer, got {raw!r}") from exc
@@ -310,63 +329,42 @@ def availability_score(seed: int, canonical_id: str) -> float:
     return int.from_bytes(hasher.digest(), "big") / 2 ** 64
 
 
-def initial_availability(catalog: ProductCatalog, v: Variation) -> bool:
-    return InventoryState(catalog).is_available(v.canonical_id)
-
-
 @dataclass(frozen=True)
-class InventorySnapshot:
-    """Immutable view of inventory at one epoch."""
+class Inventory:
+    """The inventory at one moment. Initial availability is a pure function
+    of (seed, canonical_id, rate); `overrides` holds the canonical ids booked
+    since the last reset. A booking makes the next Inventory, so a reader
+    holding this one never sees it change."""
 
     seed: int
     rate: float
-    epoch: int
-    overrides: Dict[str, bool]
+    overrides: FrozenSet[str] = frozenset()
 
-    def is_available(self, canonical_id: str) -> bool:
-        got = self.overrides.get(canonical_id)
-        if got is not None:
-            return got
-        return availability_score(self.seed, canonical_id) < self.rate
-
-
-class InventoryState:
-    """Seeded pseudo-inventory. Initial availability is a pure function of
-    (seed, canonical_id, rate); bookings are stored as overrides. Not
-    thread-safe by itself: the resolver serializes mutations."""
-
-    def __init__(self, catalog: ProductCatalog, seed: Optional[int] = None):
-        self.catalog = catalog
-        self.seed = catalog.inventory_seed if seed is None else seed
-        self.rate = catalog.base_availability_rate
-        self.epoch = 0
-        self._overrides: Dict[str, bool] = {}
-
-    # The snapshot's availability rule, which reads `seed`, `rate` and
-    # `overrides`. It stays a snapshot method because pages call it per item.
-    is_available = InventorySnapshot.is_available
+    @classmethod
+    def initial(cls, catalog: ProductCatalog, seed: Optional[int] = None) -> Inventory:
+        """The fresh inventory of the catalog, under the catalog's seed or
+        under `seed`. Raises CatalogError for a seed outside the catalog's
+        seed domain."""
+        if seed is None:
+            seed = catalog.inventory_seed
+        check_seed(seed)
+        return cls(seed, catalog.base_availability_rate)
 
     @property
-    def overrides(self) -> Dict[str, bool]:
-        return self._overrides
+    def epoch(self) -> int:
+        """Confirmed bookings since the last reset: each adds one id."""
+        return len(self.overrides)
 
-    def book(self, canonical_id: str) -> bool:
-        """Mark unavailable. Returns True iff the booking was confirmed (the
-        variation was available); epoch advances only on confirmation."""
+    def is_available(self, canonical_id: str) -> bool:
+        return (canonical_id not in self.overrides
+                and availability_score(self.seed, canonical_id) < self.rate)
+
+    def book(self, canonical_id: str) -> Optional[Inventory]:
+        """The inventory after booking the variation, or None if it is not
+        available."""
         if not self.is_available(canonical_id):
-            return False
-        self._overrides[canonical_id] = False
-        self.epoch += 1
-        return True
-
-    def reset(self, seed: Optional[int] = None):
-        if seed is not None:
-            self.seed = seed
-        self._overrides.clear()
-        self.epoch = 0
-
-    def snapshot(self) -> InventorySnapshot:
-        return InventorySnapshot(self.seed, self.rate, self.epoch, dict(self._overrides))
+            return None
+        return Inventory(self.seed, self.rate, self.overrides | {canonical_id})
 
 
 def _expand_values(kind: DimensionKind, spec) -> Tuple[Value, ...]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .annotate import annotation_stream, render_page_stream
-from .catalog import CatalogError, InventoryState, ProductCatalog, load_catalog, parse_value
+from .catalog import CatalogError, Inventory, ProductCatalog, load_catalog, parse_value
 from .heuristics import (
     HEURISTIC_NAMES,
     ClassificationMode,
@@ -129,7 +129,7 @@ def cmd_generate(config: Config, heuristic: str, out_dir: str) -> int:
     catalog = config.catalog()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = InventoryState(catalog).snapshot()
+    snapshot = Inventory.initial(catalog)
     count = 0
     total_bytes = 0
     try:

@@ -12,8 +12,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .catalog import (
     TWO_PLACES,
-    InventorySnapshot,
-    InventoryState,
+    Inventory,
     ProductCatalog,
     RangeSummary,
     Value,
@@ -72,24 +71,29 @@ class PublicationItem:
         return canonical_id_for(list(self.fixed), self.fixed)
 
 
-def _snapshot(catalog: ProductCatalog,
-              inventory: Optional[InventorySnapshot]) -> InventorySnapshot:
-    if inventory is None:
-        return InventoryState(catalog).snapshot()
-    return inventory
+def _snapshot(catalog: ProductCatalog, inventory: Optional[Inventory]) -> Inventory:
+    return Inventory.initial(catalog) if inventory is None else inventory
 
 
 # The name availability scans and searches use; the same function object.
 consistent_variations = enumerate_variations
 
 
-def any_available(catalog: ProductCatalog, inventory: InventorySnapshot,
+def available_variations(catalog: ProductCatalog, inventory: Inventory,
+                         fixed: Optional[Dict[str, Value]] = None) -> Iterator[Variation]:
+    """The variations consistent with `fixed` that `inventory` has available,
+    in enumeration order."""
+    is_available = inventory.is_available
+    return (v for v in consistent_variations(catalog, fixed)
+            if is_available(v.canonical_id))
+
+
+def any_available(catalog: ProductCatalog, inventory: Inventory,
                   fixed: Dict[str, Value]) -> bool:
-    return any(inventory.is_available(v.canonical_id)
-               for v in consistent_variations(catalog, fixed))
+    return next(available_variations(catalog, inventory, fixed), None) is not None
 
 
-def _concrete_item(inventory: InventorySnapshot, v: Variation, exact_price: Decimal,
+def _concrete_item(inventory: Inventory, v: Variation, exact_price: Decimal,
                    requires_elevation: bool) -> PublicationItem:
     return PublicationItem(
         kind=ItemKind.CONCRETE,
@@ -103,7 +107,7 @@ def _concrete_item(inventory: InventorySnapshot, v: Variation, exact_price: Deci
     )
 
 
-def _fixed_set_item(catalog: ProductCatalog, inventory: InventorySnapshot,
+def _fixed_set_item(catalog: ProductCatalog, inventory: Inventory,
                     fixed: Dict[str, Value]) -> PublicationItem:
     """The elevated item for a partial assignment: the dimensions it leaves
     open are published as ranges, and a set that fixes every dimension is a
@@ -123,7 +127,7 @@ def _fixed_set_item(catalog: ProductCatalog, inventory: InventorySnapshot,
 
 
 def iter_full_materialization(catalog: ProductCatalog,
-                              inventory: Optional[InventorySnapshot] = None,
+                              inventory: Optional[Inventory] = None,
                               hard_cap: int = DEFAULT_HARD_CAP) -> Iterator[PublicationItem]:
     """Streaming full materialization: one concrete item per variation. The
     prices run through a product of the price table's deltas in lockstep with
@@ -140,13 +144,13 @@ def iter_full_materialization(catalog: ProductCatalog,
 
 
 def full_materialization(catalog: ProductCatalog,
-                         inventory: Optional[InventorySnapshot] = None,
+                         inventory: Optional[Inventory] = None,
                          hard_cap: int = DEFAULT_HARD_CAP) -> List[PublicationItem]:
     return list(iter_full_materialization(catalog, inventory, hard_cap))
 
 
 def abstraction(catalog: ProductCatalog,
-                inventory: Optional[InventorySnapshot] = None) -> List[PublicationItem]:
+                inventory: Optional[Inventory] = None) -> List[PublicationItem]:
     """One maximally abstract item: every dimension summarized as a range."""
     inv = _snapshot(catalog, inventory)
     return [_fixed_set_item(catalog, inv, {})]
@@ -158,24 +162,20 @@ class PickerPolicy(str, Enum):
 
 
 def specialization(catalog: ProductCatalog,
-                   inventory: Optional[InventorySnapshot] = None,
+                   inventory: Optional[Inventory] = None,
                    picker: PickerPolicy = PickerPolicy.FIRST_LEXICOGRAPHIC,
                    picker_seed: int = 0) -> List[PublicationItem]:
     """Publish exactly one concrete, currently AVAILABLE variation as a
     representative. Elevated so clients can search for sibling variations."""
     inv = _snapshot(catalog, inventory)
     if picker is PickerPolicy.FIRST_LEXICOGRAPHIC:
-        chosen = next(
-            (v for v in enumerate_variations(catalog) if inv.is_available(v.canonical_id)),
-            None)
+        chosen = next(available_variations(catalog, inv), None)
     elif picker is PickerPolicy.SEEDED_RANDOM:
         # Reservoir sampling keeps memory flat over big catalogs.
         rng = random.Random(picker_seed)
         chosen = None
         seen = 0
-        for v in enumerate_variations(catalog):
-            if not inv.is_available(v.canonical_id):
-                continue
+        for v in available_variations(catalog, inv):
             seen += 1
             if rng.randrange(seen) == 0:
                 chosen = v
@@ -187,7 +187,7 @@ def specialization(catalog: ProductCatalog,
 
 
 def type_level_materialization(catalog: ProductCatalog,
-                               inventory: Optional[InventorySnapshot] = None
+                               inventory: Optional[Inventory] = None
                                ) -> List[PublicationItem]:
     """One item per value per dimension: sum of dimension lengths items."""
     inv = _snapshot(catalog, inventory)
@@ -254,7 +254,7 @@ def classify_dimensions(catalog: ProductCatalog,
 
 def selective_instance_materialization(catalog: ProductCatalog,
                                        classification: DimensionClassification,
-                                       inventory: Optional[InventorySnapshot] = None
+                                       inventory: Optional[Inventory] = None
                                        ) -> List[PublicationItem]:
     """Full Cartesian product over the short dimensions only; long dimensions
     stay as ranges looked up through the attached service."""
@@ -279,7 +279,7 @@ class HeuristicPolicies:
 
 
 def publication_items(catalog: ProductCatalog, heuristic: str,
-                      inventory: Optional[InventorySnapshot] = None,
+                      inventory: Optional[Inventory] = None,
                       policies: Optional[HeuristicPolicies] = None
                       ) -> Iterator[PublicationItem]:
     """Dispatch by stable heuristic name. Streaming for `full`."""

@@ -12,12 +12,13 @@ from urllib.parse import parse_qsl, urlparse
 
 from .annotate import PageNotFound, annotation_stream, render_page
 from .catalog import (
-    InventorySnapshot,
-    InventoryState,
+    CatalogError,
+    Inventory,
     ProductCatalog,
     ValidationError,
     Value,
     parse_canonical_id,
+    parse_integer,
     parse_value,
     price,
 )
@@ -26,7 +27,7 @@ from .heuristics import (
     HeuristicPolicies,
     MaterializationCapExceeded,
     NoAvailableVariation,
-    consistent_variations,
+    available_variations,
 )
 
 EPOCH_HEADER = "X-Inventory-Epoch"
@@ -50,16 +51,15 @@ class BookingResult:
 
 
 class ResolverService:
-    """Owns the inventory behind a single serialization point. All mutations
-    (book, reset) are totally ordered; reads work off epoch-stamped snapshots.
+    """Owns the inventory behind a single serialization point. The current
+    `Inventory` is one immutable value; book and reset replace it under the
+    lock, so they are totally ordered, and a reader keeps the value it took.
 
-    Bulk pages (no paging parameter) are cached per heuristic. The cache is
-    keyed on the inventory generation, which counts every confirmed booking
-    and every reset and never rewinds, not on the epoch: a reset sets the
-    epoch back to 0 and may reseed, so one epoch can name two inventories.
-    A stored page also depends on the catalog, the policies and the endpoint
-    base, so none of them may change once pages are served (`make_server`
-    sets the endpoint base before it serves)."""
+    Bulk pages (no paging parameter) are cached per heuristic, each built
+    from the current inventory. A booking or a reset replaces the inventory
+    and drops them. A stored page also depends on the catalog, the policies
+    and the endpoint base, so none of them may change once pages are served
+    (`make_server` sets the endpoint base before it serves)."""
 
     def __init__(self, catalog: ProductCatalog,
                  policies: Optional[HeuristicPolicies] = None,
@@ -67,31 +67,21 @@ class ResolverService:
         self.catalog = catalog
         self.policies = policies or HeuristicPolicies()
         self.endpoint_base = endpoint_base
-        self._inventory = InventoryState(catalog)
         self._lock = threading.Lock()
-        # Guarded by _lock. Holds at most one body per heuristic, all built
-        # at the current generation.
-        self._generation = 0
+        # Both are changed only under _lock. The cache holds at most one body
+        # per heuristic, all built from `_inventory`.
+        self._inventory = Inventory.initial(catalog)
         self._bulk_pages: Dict[str, Tuple[bytes, int]] = {}
 
     # -- inventory -----------------------------------------------------------
 
-    def snapshot(self) -> InventorySnapshot:
-        with self._lock:
-            return self._inventory.snapshot()
+    def snapshot(self) -> Inventory:
+        # Reading one reference is atomic; the value behind it never changes.
+        return self._inventory
 
     @property
     def epoch(self) -> int:
-        """The current epoch, without copying the overrides."""
-        with self._lock:
-            return self._inventory.epoch
-
-    def _inventory_changed(self):
-        """Called under _lock after every change to the inventory. Dropping
-        the stale bodies here keeps them from being held while their
-        successors are built."""
-        self._generation += 1
-        self._bulk_pages.clear()
+        return self._inventory.epoch
 
     def book(self, canonical_id: str) -> BookingResult:
         """Book under the variation's canonical id, whatever spelling of it
@@ -99,22 +89,26 @@ class ResolverService:
         try:
             assignments = parse_canonical_id(self.catalog, canonical_id)
         except ValidationError:
-            with self._lock:
-                return BookingResult("unknown_offer", canonical_id, self._inventory.epoch)
+            return BookingResult("unknown_offer", canonical_id, self.epoch)
         canonical_id = self.catalog.variation(assignments).canonical_id
         with self._lock:
-            confirmed = self._inventory.book(canonical_id)
-            if confirmed:
-                self._inventory_changed()
+            booked = self._inventory.book(canonical_id)
+            if booked is not None:
+                self._inventory = booked
+                self._bulk_pages.clear()
             epoch = self._inventory.epoch
-        return BookingResult("confirmed" if confirmed else "already_booked",
+        return BookingResult("already_booked" if booked is None else "confirmed",
                              canonical_id, epoch)
 
     def reset(self, seed: Optional[int] = None) -> int:
+        """Go back to the fresh-boot inventory, under `seed` if one is given
+        and under the catalog's seed otherwise. Raises CatalogError, leaving
+        the inventory as it was, for a seed outside the seed domain."""
+        inventory = Inventory.initial(self.catalog, seed)
         with self._lock:
-            self._inventory.reset(seed)
-            self._inventory_changed()
-            return self._inventory.epoch
+            self._inventory = inventory
+            self._bulk_pages.clear()
+        return inventory.epoch
 
     # -- search --------------------------------------------------------------
 
@@ -139,9 +133,7 @@ class ResolverService:
         hi = page * per_page
         offers: List[dict] = []
         total = 0
-        for v in consistent_variations(self.catalog, constraints):
-            if not snapshot.is_available(v.canonical_id):
-                continue
+        for v in available_variations(self.catalog, snapshot, constraints):
             if lo <= total < hi:
                 offers.append({
                     "canonical_id": v.canonical_id,
@@ -159,7 +151,7 @@ class ResolverService:
     def page_html(self, heuristic: str, page: Optional[int] = None,
                   per_page: Optional[int] = None) -> Tuple[bytes, int]:
         """The page and the epoch it was built at. A bulk page is built once
-        per inventory generation and then served from the cache; a paginated
+        per inventory and then served from the cache; a paginated
         page is built per request, since `page` x `per_page` has no bound.
         Pages are built outside the lock, streaming the annotations into the
         response buffer."""
@@ -169,16 +161,15 @@ class ResolverService:
             cached = self._bulk_pages.get(heuristic)
             if cached is not None:
                 return cached
-            generation = self._generation
-            snapshot = self._inventory.snapshot()
-        built = self._build_page(heuristic, snapshot)
+            inventory = self._inventory
+        built = self._build_page(heuristic, inventory)
         with self._lock:
             # A booking or reset during the build has made it stale.
-            if self._generation == generation:
+            if self._inventory is inventory:
                 self._bulk_pages[heuristic] = built
         return built
 
-    def _build_page(self, heuristic: str, snapshot: InventorySnapshot,
+    def _build_page(self, heuristic: str, snapshot: Inventory,
                     page: Optional[int] = None,
                     per_page: Optional[int] = None) -> Tuple[bytes, int]:
         annotations = annotation_stream(self.catalog, heuristic, snapshot,
@@ -206,7 +197,7 @@ def _parse_paging(query: Dict[str, str]) -> Tuple[int, int]:
     BadSearchRequest names the parameter at fault."""
     def integer(name: str, default: int, high: float) -> int:
         try:
-            value = int(query.pop(name, default))
+            value = parse_integer(query.pop(name, str(default)))
             if 1 <= value <= high:
                 return value
         except ValueError:
@@ -328,11 +319,11 @@ class ResolverHandler(BaseHTTPRequestHandler):
                              "canonical_id": result.canonical_id,
                              "epoch_after": result.epoch_after}, result.epoch_after)
         elif url.path == "/admin/reset":
-            seed = body.get("seed")
-            if seed is not None and not isinstance(seed, int):
-                self._error(400, "seed must be an integer", self.service.epoch)
+            try:
+                epoch = self.service.reset(body.get("seed"))
+            except CatalogError as exc:
+                self._error(400, str(exc), self.service.epoch)
                 return
-            epoch = self.service.reset(seed)
             self._json(200, {"epoch": epoch}, epoch)
         else:
             self._error(404, f"no such path {url.path!r}", self.service.epoch)

@@ -5,6 +5,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from matpub.catalog import (
     DimensionDef,
@@ -78,6 +79,34 @@ def small_hotel():
         ("booking", "ordinal", list(range(1, 26))),
         ("catering", "categorical", ["breakfast", "half-board"]),
     ])
+
+
+def catalog_strategy(max_dims=4, max_len=6):
+    names = ["d0", "d1", "d2", "d3", "d4", "d5"]
+
+    @st.composite
+    def build(draw):
+        n_dims = draw(st.integers(1, max_dims))
+        dims = []
+        for i in range(n_dims):
+            kind = draw(st.sampled_from(["categorical", "ordinal"]))
+            length = draw(st.integers(1, max_len))
+            if kind == "categorical":
+                values = [f"v{j}" for j in range(length)]
+            else:
+                values = list(range(1, length + 1))
+            dims.append((names[i], kind, values))
+        modifiers = {}
+        for name, _, values in dims:
+            if draw(st.booleans()):
+                value = draw(st.sampled_from(values))
+                delta = draw(st.integers(0, 50))
+                modifiers[(name, value)] = f"{delta}.00"
+        rate = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        seed = draw(st.integers(0, 2 ** 32))
+        return make_catalog(dims, modifiers=modifiers, rate=rate, seed=seed)
+
+    return build()
 
 
 # ---------------------------------------------------------------------------

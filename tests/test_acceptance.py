@@ -19,7 +19,7 @@ import requests
 from matpub.annotate import ConformityScanner, elevate, render_page_stream, serialize
 from matpub.bench import SweepConfig, disclosure_ratio, emit_csv, linear_fit, run_sweep
 from matpub.catalog import (
-    InventoryState,
+    Inventory,
     canonical_id_for,
     count_variations,
     enumerate_variations,
@@ -311,7 +311,7 @@ def test_07_concurrency():
 
 def test_08_conformity_and_disclosure(eval_hotel):
     base = "http://127.0.0.1:8321"
-    snapshot = InventoryState(eval_hotel).snapshot()
+    snapshot = Inventory.initial(eval_hotel)
     conform = {}
     for heuristic in HEURISTIC_NAMES:
         scanner = ConformityScanner()

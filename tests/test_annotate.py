@@ -16,7 +16,6 @@ from matpub.annotate import (
     render_page,
     serialize,
 )
-from matpub.catalog import InventoryState
 from matpub.heuristics import (
     ClassificationPolicy,
     abstraction,

@@ -12,7 +12,7 @@ from matpub.bench import (
     linear_fit,
     run_sweep,
 )
-from matpub.catalog import InventoryState, count_variations
+from matpub.catalog import count_variations
 from matpub.heuristics import (
     ClassificationPolicy,
     HeuristicPolicies,

@@ -20,7 +20,7 @@ from matpub.annotate import annotation_stream, render_page
 from matpub.catalog import (
     DimensionDef,
     DimensionKind,
-    InventoryState,
+    Inventory,
     PricingModel,
     ProductCatalog,
     enumerate_variations,
@@ -128,11 +128,10 @@ def hostile_catalogs(draw):
 @settings(max_examples=120, deadline=None)
 @given(catalog=hostile_catalogs(), data=st.data())
 def test_annotations_and_pages_match_reference(catalog, data):
-    state = InventoryState(catalog)
+    snapshot = Inventory.initial(catalog)
     for v in enumerate_variations(catalog):
         if data.draw(st.booleans(), label="book"):
-            state.book(v.canonical_id)
-    snapshot = state.snapshot()
+            snapshot = snapshot.book(v.canonical_id) or snapshot
     policies = HeuristicPolicies(
         classification=ClassificationPolicy(length_threshold=data.draw(st.integers(1, 4))),
         picker=data.draw(st.sampled_from(list(PickerPolicy))),

@@ -11,7 +11,7 @@ from matpub.catalog import (
     CatalogError,
     DimensionDef,
     DimensionKind,
-    InventoryState,
+    Inventory,
     ValidationError,
     Variation,
     availability_score,
@@ -19,7 +19,6 @@ from matpub.catalog import (
     catalog_from_dict,
     count_variations,
     enumerate_variations,
-    initial_availability,
     load_catalog,
     parse_canonical_id,
     price,
@@ -29,6 +28,7 @@ from matpub.catalog import (
 
 from conftest import (
     EVAL_HOTEL_PATH,
+    catalog_strategy,
     eval_hotel_n,
     make_catalog,
     oracle_price,
@@ -152,6 +152,10 @@ class TestPricing:
             price(tshirt, Variation(assignments, "x"))
 
 
+def initial_availability(catalog, v):
+    return Inventory.initial(catalog).is_available(v.canonical_id)
+
+
 class TestAvailability:
     def test_rate_one_all_available(self, tshirt):
         for v in enumerate_variations(tshirt):
@@ -175,8 +179,8 @@ class TestAvailability:
 
     def test_same_seed_same_inventory(self):
         c = eval_hotel_n(3)
-        a = InventoryState(c).snapshot()
-        b = InventoryState(c).snapshot()
+        a = Inventory.initial(c)
+        b = Inventory.initial(c)
         ids = [v.canonical_id for v in enumerate_variations(c, limit=100)]
         assert [a.is_available(i) for i in ids] == [b.is_available(i) for i in ids]
 
@@ -192,25 +196,25 @@ class TestAvailability:
             int.from_bytes(digest, "big") / 2 ** 64
 
 
-class TestInventoryState:
+class TestInventory:
     def test_epoch_increments_per_mutation_only(self):
         c = eval_hotel_n(2)
-        inv = InventoryState(c)
+        inv = Inventory.initial(c)
         cid = next(enumerate_variations(c)).canonical_id
         assert inv.epoch == 0
-        assert inv.book(cid) is True
-        assert inv.epoch == 1
-        assert inv.book(cid) is False  # no mutation, no epoch bump
-        assert inv.epoch == 1
+        booked = inv.book(cid)
+        assert booked.epoch == 1
+        assert booked.is_available(cid) is False
+        assert booked.book(cid) is None  # no mutation, no epoch bump
+        assert booked.epoch == 1
+        assert (inv.epoch, inv.is_available(cid)) == (0, True)  # the old value holds
 
-    def test_reset_restores_initial_state(self):
-        c = eval_hotel_n(2)
-        inv = InventoryState(c)
-        cid = next(enumerate_variations(c)).canonical_id
-        inv.book(cid)
-        inv.reset()
-        assert inv.epoch == 0
-        assert inv.is_available(cid) is True
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, True, "7", 1.0])
+    def test_seed_outside_domain_rejected(self, seed):
+        with pytest.raises(CatalogError, match="seed"):
+            Inventory.initial(eval_hotel_n(2), seed)
+        with pytest.raises(CatalogError, match="seed"):
+            make_catalog([("a", "categorical", ["x"])], seed=seed)
 
 
 class TestDimensionDef:
@@ -267,34 +271,6 @@ class TestLoadingAndResizing:
 
 # ---------------------------------------------------------------------------
 # Property tests over randomized catalogs
-
-def catalog_strategy(max_dims=4, max_len=6):
-    names = ["d0", "d1", "d2", "d3", "d4", "d5"]
-
-    @st.composite
-    def build(draw):
-        n_dims = draw(st.integers(1, max_dims))
-        dims = []
-        for i in range(n_dims):
-            kind = draw(st.sampled_from(["categorical", "ordinal"]))
-            length = draw(st.integers(1, max_len))
-            if kind == "categorical":
-                values = [f"v{j}" for j in range(length)]
-            else:
-                values = list(range(1, length + 1))
-            dims.append((names[i], kind, values))
-        modifiers = {}
-        for name, _, values in dims:
-            if draw(st.booleans()):
-                value = draw(st.sampled_from(values))
-                delta = draw(st.integers(0, 50))
-                modifiers[(name, value)] = f"{delta}.00"
-        rate = draw(st.sampled_from([0.0, 0.5, 1.0]))
-        seed = draw(st.integers(0, 2 ** 32))
-        return make_catalog(dims, modifiers=modifiers, rate=rate, seed=seed)
-
-    return build()
-
 
 @settings(max_examples=40, deadline=None)
 @given(catalog_strategy())

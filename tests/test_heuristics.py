@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from matpub.catalog import (
-    InventoryState,
+    Inventory,
     canonical_id_for,
     count_variations,
     enumerate_variations,
@@ -28,12 +28,17 @@ from matpub.heuristics import (
     type_level_materialization,
 )
 
-from conftest import eval_hotel_n, make_catalog, oracle_price_bounds, oracle_variations
-from test_catalog import catalog_strategy
+from conftest import (
+    catalog_strategy,
+    eval_hotel_n,
+    make_catalog,
+    oracle_price_bounds,
+    oracle_variations,
+)
 
 
 def snapshot_of(catalog):
-    return InventoryState(catalog).snapshot()
+    return Inventory.initial(catalog)
 
 
 def consistent(item, assignments):
@@ -119,11 +124,14 @@ class TestSpecialization:
         assert items[0].requires_elevation
 
     def test_only_available_variation_is_picked(self):
-        c = make_catalog([("a", "categorical", ["x", "y", "z"])], rate=0.0)
-        inv = InventoryState(c)
-        target = list(enumerate_variations(c))[1].canonical_id
-        inv._overrides[target] = True
-        items = specialization(c, inv.snapshot())
+        c = make_catalog([("a", "categorical", ["x", "y", "z"])], rate=1.0)
+        inv = Inventory.initial(c)
+        ids = [v.canonical_id for v in enumerate_variations(c)]
+        target = ids[1]
+        for cid in ids:
+            if cid != target:
+                inv = inv.book(cid)
+        items = specialization(c, inv)
         assert canonical_id_for(["a"], items[0].fixed) == target
 
     def test_empty_inventory_refused(self):
@@ -225,9 +233,10 @@ class TestAvailabilityAggregation:
     def test_abstract_available_iff_any_variation_available(self):
         c = make_catalog([("a", "categorical", ["x", "y"])], rate=0.0)
         assert abstraction(c)[0].available is False
-        inv = InventoryState(c)
-        inv._overrides["a=y"] = True
-        assert abstraction(c, inv.snapshot())[0].available is True
+        c = make_catalog([("a", "categorical", ["x", "y"])], rate=1.0)
+        inv = Inventory.initial(c).book("a=x")
+        assert abstraction(c, inv)[0].available is True
+        assert abstraction(c, inv.book("a=y"))[0].available is False
 
 
 class TestPurity:

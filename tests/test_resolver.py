@@ -73,8 +73,13 @@ class TestPages:
         ({"page": 1, "per_page": "ten"}, "per_page"),
         ({"page": 0, "per_page": 10}, "page"),
         ({"page": "x", "per_page": 10}, "page"),
+        ({"page": 1, "per_page": "1_0"}, "per_page"),
+        ({"page": 1, "per_page": "+5"}, "per_page"),
+        ({"page": 1, "per_page": " 7 "}, "per_page"),
+        ({"page": "\u0663", "per_page": 10}, "page"),
     ], ids=["per_page-0", "per_page-negative", "per_page-over-max", "per_page-not-integer",
-            "page-0", "page-not-integer"])
+            "page-0", "page-not-integer", "per_page-underscore", "per_page-plus-sign",
+            "per_page-spaces", "page-arabic-indic-digit"])
     def test_bad_paging_is_400_naming_offender(self, server, path, params, offender):
         response = get(server, path, **params)
         assert response.status_code == 400
@@ -395,6 +400,24 @@ class TestBooking:
             assert doc["total_count"] == 0
             assert doc["offers"] == []
 
+    # Only `-?[0-9]+` spells an integer: other spellings that Python's int()
+    # takes name no variation, in a booking or in a search.
+    @pytest.mark.parametrize("stay", ["+7", "0_7", " 7 ", "\u0667"],
+                             ids=["plus-sign", "underscore", "spaces", "arabic-indic-digit"])
+    def test_other_integer_spellings_name_no_variation(self, hotel10, stay):
+        canonical = ("type=normal|catering=breakfast|occupancy=single"
+                     "|arrival=2026-01-01|stay=7")
+        with live_server(hotel10) as service:
+            result = post(service, "/api/book",
+                          {"canonical_id": canonical.replace("stay=7", f"stay={stay}")}).json()
+            assert (result["status"], result["epoch_after"]) == ("unknown_offer", 0)
+            point = dict(type="normal", catering="breakfast", occupancy="single",
+                         arrival="2026-01-01")
+            response = get(service, "/api/search", **point, stay=stay)
+            assert response.status_code == 400
+            assert response.json()["offender"] == "stay"
+            assert get(service, "/api/search", **point, stay="7").json()["total_count"] == 1
+
     def test_concurrent_bookings_confirm_exactly_once(self, hotel10):
         with live_server(hotel10) as service:
             cid = next(enumerate_variations(hotel10)).canonical_id
@@ -426,6 +449,36 @@ class TestReset:
             doc = get(service, "/api/search", per_page=1).json()
             fraction = doc["total_count"] / count_variations(catalog)
             assert 0.75 <= fraction <= 0.85
+
+    def test_reset_without_seed_restores_boot_seed(self):
+        catalog = eval_hotel_n(3)
+        catalog.base_availability_rate = 0.5
+        with live_server(catalog) as service:
+            def first_page():
+                doc = get(service, "/api/search", per_page=MAX_PER_PAGE).json()
+                return doc["total_count"], [o["canonical_id"] for o in doc["offers"]]
+
+            boot = first_page()
+            post(service, "/admin/reset", {"seed": 777})
+            assert first_page() != boot
+            assert post(service, "/admin/reset", {}).json() == {"epoch": 0}
+            assert first_page() == boot
+
+    # Each of these used to be accepted, and the first two then broke every
+    # search and page build until the next reset.
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, True], ids=["negative", "2**64", "bool"])
+    def test_seed_outside_domain_is_400(self, hotel10, seed):
+        with live_server(hotel10) as service:
+            variations = list(enumerate_variations(hotel10, limit=2))
+            post(service, "/api/book", {"canonical_id": variations[0].canonical_id})
+            response = post(service, "/admin/reset", {"seed": seed})
+            assert response.status_code == 400
+            assert response.headers["X-Inventory-Epoch"] == "1"
+            search = get(service, "/api/search",
+                         **{k: str(x) for k, x in variations[1].assignments.items()})
+            assert search.status_code == 200
+            assert search.json()["total_count"] == 1
+            assert search.headers["X-Inventory-Epoch"] == "1"
 
     def test_reset_races_with_bookings_without_torn_state(self, hotel10):
         with live_server(hotel10) as service:

@@ -29,7 +29,7 @@ thread = threading.Thread(target=server.serve_forever, daemon=True)
 thread.start()
 try:
     summary = consumer.hit_ratio_experiment(
-        f"{service.endpoint_base}/page/full", catalog, 6, seed=1,
+        f"{service.endpoint_base}/page/full", catalog, 6, seed=1, book=True,
         concurrency=2)
 finally:
     server.shutdown()
@@ -54,7 +54,8 @@ def test_per_layer_tracing_sees_every_layer():
     for name in ("annotate.elevate_ms", "annotate.serialize_ms", "annotate.render_ms",
                  "annotate.page_bytes", "resolver.page_html_ms",
                  "catalog.variations_scanned", "catalog.availability_checks",
-                 "resolver.search_ms.point", "consumer.resolve_ms",
+                 "resolver.search_ms.point", "resolver.snapshot_ms", "resolver.book_ms",
+                 "consumer.resolve_ms",
                  "consumer.search_step_ms", "consumer.fetch_page_ms",
                  "consumer.extract_ms"):
         assert metrics[name] > 0, name
