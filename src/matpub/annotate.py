@@ -6,13 +6,12 @@ from __future__ import annotations
 import hashlib
 import html
 import io
-import itertools
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
 from html.parser import HTMLParser
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import heuristics
 from .catalog import DimensionKind, Inventory, ProductCatalog, RangeSummary, Value
@@ -225,19 +224,39 @@ def serialize(item: PublicationItem, service: Optional[ServiceDescription],
                       dom_anchor_id=anchor)
 
 
-def annotation_stream(catalog: ProductCatalog, heuristic: str,
-                      snapshot: Optional[Inventory],
-                      policies: Optional[heuristics.HeuristicPolicies],
-                      endpoint_base: str) -> Iterator[Annotation]:
-    """The publication pipeline: the heuristic's items, each elevated if it
-    needs a service description, serialized in page order. Lazy, so `full`
-    holds one item at a time. `publication_items` is looked up on its module
-    at call time, so wrappers bound there (per-layer tracing) see the call."""
-    fragments = FragmentTable(catalog)
-    for item in heuristics.publication_items(catalog, heuristic, snapshot, policies):
-        service = (elevate(item, endpoint_base, catalog)
-                   if item.requires_elevation else None)
-        yield serialize(item, service, catalog, fragments)
+@dataclass(frozen=True)
+class AnnotationStream:
+    """The publication pipeline as a lazy view of the heuristic's items,
+    elevated where needed and serialized, in page order. It streams, its
+    `len()` is the closed-form count, and a slice builds only its own items.
+    `publication_items` is looked up on its module per call, for tracing."""
+    catalog: ProductCatalog
+    heuristic: str
+    snapshot: Optional[Inventory]
+    policies: Optional[heuristics.HeuristicPolicies]
+    endpoint_base: str
+
+    def __len__(self) -> int:
+        return heuristics.expected_count(self.catalog, self.heuristic, self.policies)
+
+    def __getitem__(self, index: slice) -> List[Annotation]:
+        # Not len(self), which refuses a count above sys.maxsize.
+        count = heuristics.expected_count(self.catalog, self.heuristic, self.policies)
+        start, stop, step = index.indices(count)
+        if step != 1:
+            raise ValueError("an annotation stream slices with step 1 only")
+        return list(self.__iter__(start=start, stop=stop))
+
+    def __iter__(self, **bounds) -> Iterator[Annotation]:
+        fragments = FragmentTable(self.catalog)
+        for item in heuristics.publication_items(self.catalog, self.heuristic,
+                                                 self.snapshot, self.policies, **bounds):
+            service = (elevate(item, self.endpoint_base, self.catalog)
+                       if item.requires_elevation else None)
+            yield serialize(item, service, self.catalog, fragments)
+
+
+annotation_stream = AnnotationStream
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +331,18 @@ def render_page_stream(annotations: Iterable[Annotation], catalog: ProductCatalo
     return total
 
 
-def _page_slice(annotations: Iterable[Annotation], page: int,
-                per_page: int) -> List[Annotation]:
-    """The annotations of the 1-based `page`. Reads the stream up to the end
-    of that page, or to its end when the page is out of range."""
-    it = iter(annotations)
-    start = max(0, (page - 1) * per_page)
-    skipped = sum(1 for _ in itertools.islice(it, start))
-    chunk = list(itertools.islice(it, per_page))
+def _page_slice(annotations: Sequence[Annotation], page: int,
+                per_page: int) -> Sequence[Annotation]:
+    """The annotations of the 1-based `page`, as one slice. A heuristic that
+    cannot publish raises from the slice, before any page is out of range."""
+    chunk = annotations[max(0, page - 1) * per_page:max(0, page) * per_page]
     if page < 1 or (page > 1 and not chunk):
-        total = skipped + len(chunk) + sum(1 for _ in it)
-        raise PageNotFound(f"page {page} out of range 1..{max(1, -(-total // per_page))}")
+        last = max(1, -(-len(annotations) // per_page))
+        raise PageNotFound(f"page {page} out of range 1..{last}")
     return chunk
 
 
-def render_page(annotations: Iterable[Annotation], catalog: ProductCatalog,
+def render_page(annotations: Sequence[Annotation], catalog: ProductCatalog,
                 page: Optional[int] = None,
                 per_page: Optional[int] = None) -> bytes:
     """Bulk mode embeds every annotation; paginated mode (page, per_page both

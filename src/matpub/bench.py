@@ -28,7 +28,7 @@ from .resolver import ResolverService, make_server
 CSV_HEADER = ["heuristic", "n", "annotation_count", "payload_bytes", "page_bytes",
               "gen_time_ms", "serve_time_ms", "conformity", "disclosure_ratio"]
 
-DEFAULT_SERVE_ITEM_CAP = 100_000
+SERVE_ITEM_CAP = 100_000
 DEFAULT_CONFORMITY_ITEM_CAP = 100_000
 
 
@@ -129,7 +129,6 @@ class SweepConfig:
     repetitions: int = 3
     flexible_dimension: str = "arrival"
     serve: bool = True
-    serve_item_cap: int = DEFAULT_SERVE_ITEM_CAP
     conformity_item_cap: int = DEFAULT_CONFORMITY_ITEM_CAP
     host: str = "127.0.0.1"
 
@@ -187,8 +186,6 @@ def _bench_one(catalog_n: ProductCatalog, n: int, heuristic: str,
                policies: HeuristicPolicies, base_url: str, have_server: bool,
                config: SweepConfig, warnings: List[str]) -> BenchRecord:
     count = expected_count(catalog_n, heuristic, policies)
-    if heuristic == "full" and count > policies.hard_cap:
-        raise MaterializationCapExceeded(count, policies.hard_cap)
     check_conformity = count <= config.conformity_item_cap
     measured = _publish_pass(catalog_n, heuristic, policies, base_url,
                              check_conformity)
@@ -206,7 +203,7 @@ def _bench_one(catalog_n: ProductCatalog, n: int, heuristic: str,
             lambda: _publish_pass(catalog_n, heuristic, policies, base_url, False),
             config.repetitions)
         record.gen_time_ms, record.gen_time_min_ms, record.gen_time_max_ms = mean, lo, hi
-        if config.serve and count <= config.serve_item_cap:
+        if config.serve and count <= SERVE_ITEM_CAP:
             if have_server:
                 url = f"{base_url}/page/{heuristic}"
                 try:

@@ -64,14 +64,14 @@ class Config:
 
 
 def _policies_from_dict(doc: dict) -> HeuristicPolicies:
-    cls_doc = doc.get("classification", {})
+    cls_doc = doc.get("policies", {}).get("classification", {})
     classification = ClassificationPolicy(
         mode=ClassificationMode(cls_doc.get("mode", "threshold")),
         length_threshold=int(cls_doc.get("length_threshold", 5)),
         byte_budget=int(cls_doc.get("byte_budget", 50_000)),
         est_item_bytes=int(cls_doc.get("est_item_bytes", 600)),
     )
-    picker_doc = doc.get("picker", {})
+    picker_doc = doc.get("policies", {}).get("picker", {})
     return HeuristicPolicies(
         classification=classification,
         picker=PickerPolicy(picker_doc.get("mode", "first-lexicographic")),
@@ -94,14 +94,12 @@ def load_config(path: str) -> Config:
     if not catalog_path.exists():
         raise ConfigError(f"catalog file not found: {catalog_path}")
     server = doc.get("server", {})
-    policies_doc = dict(doc.get("policies", {}))
-    policies_doc.setdefault("hard_cap", doc.get("hard_cap", 10 ** 6))
     bench = doc.get("bench", {})
     config = Config(
         catalog_path=catalog_path,
         host=os.environ.get("MATPUB_HOST", server.get("host", "127.0.0.1")),
         port=int(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
-        policies=_policies_from_dict(policies_doc),
+        policies=_policies_from_dict(doc),
         bench_n_values=[int(n) for n in bench.get("n_values", [1, 183, 365])],
         bench_repetitions=int(bench.get("repetitions", 3)),
         bench_output_path=bench.get("output_path", "bench.csv"),

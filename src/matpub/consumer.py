@@ -208,7 +208,6 @@ class Client:
         return doc
 
     def _find_offer(self, trace: ResolutionTrace, search_url_base: str,
-                    constraints: Dict[str, Value],
                     desired: Dict[str, Value]) -> Optional[dict]:
         """Issue the search, paginating until the desired variation shows up or
         the result set is exhausted. Each page is one recorded round trip."""
@@ -264,7 +263,7 @@ class Client:
             base = _expand_template(chosen.action.target_template,
                                     {n: desired[n] for n in chosen.action.input_names
                                      if n in desired})
-            offer = self._find_offer(trace, base, {}, desired)
+            offer = self._find_offer(trace, base, desired)
 
         if offer is None:
             trace.outcome = "dead_end"

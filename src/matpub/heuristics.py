@@ -128,17 +128,20 @@ def _fixed_set_item(catalog: ProductCatalog, inventory: Inventory,
 
 def iter_full_materialization(catalog: ProductCatalog,
                               inventory: Optional[Inventory] = None,
-                              hard_cap: int = DEFAULT_HARD_CAP) -> Iterator[PublicationItem]:
-    """Streaming full materialization: one concrete item per variation. The
-    prices run through a product of the price table's deltas in lockstep with
-    the enumeration, added in the same order `price` adds them."""
+                              hard_cap: int = DEFAULT_HARD_CAP, start: int = 0,
+                              stop: Optional[int] = None) -> Iterator[PublicationItem]:
+    """Streaming full materialization: one concrete item per variation from
+    `start` up to `stop`. The prices run through a product of the price table's
+    deltas in lockstep with the enumeration, added in the order `price` does."""
     total = count_variations(catalog)
     if total > hard_cap:
         raise MaterializationCapExceeded(total, hard_cap)
     inv = _snapshot(catalog, inventory)
     base = catalog.pricing.base_price
     deltas = itertools.product(*(deltas.values() for _, deltas, _, _ in catalog.price_table))
-    for v, ds in zip(enumerate_variations(catalog), deltas):
+    limit = None if stop is None else max(0, stop - start)
+    for v, ds in zip(enumerate_variations(catalog, limit=limit, start=start),
+                     itertools.islice(deltas, start, None)):
         yield _concrete_item(inv, v, sum(ds, base).quantize(TWO_PLACES),
                              requires_elevation=False)
 
@@ -280,23 +283,24 @@ class HeuristicPolicies:
 
 def publication_items(catalog: ProductCatalog, heuristic: str,
                       inventory: Optional[Inventory] = None,
-                      policies: Optional[HeuristicPolicies] = None
-                      ) -> Iterator[PublicationItem]:
-    """Dispatch by stable heuristic name. Streaming for `full`."""
+                      policies: Optional[HeuristicPolicies] = None,
+                      start: int = 0, stop: Optional[int] = None) -> Iterator[PublicationItem]:
+    """Dispatch by heuristic name: its items from `start` up to `stop`, streamed for `full`."""
     policies = policies or HeuristicPolicies()
     if heuristic == "full":
-        return iter_full_materialization(catalog, inventory, policies.hard_cap)
+        return iter_full_materialization(catalog, inventory, policies.hard_cap, start, stop)
     if heuristic == "abstraction":
-        return iter(abstraction(catalog, inventory))
-    if heuristic == "specialization":
-        return iter(specialization(catalog, inventory, policies.picker,
-                                   policies.picker_seed))
-    if heuristic == "type-level":
-        return iter(type_level_materialization(catalog, inventory))
-    if heuristic == "selective":
+        items = abstraction(catalog, inventory)
+    elif heuristic == "specialization":
+        items = specialization(catalog, inventory, policies.picker, policies.picker_seed)
+    elif heuristic == "type-level":
+        items = type_level_materialization(catalog, inventory)
+    elif heuristic == "selective":
         classification = classify_dimensions(catalog, policies.classification)
-        return iter(selective_instance_materialization(catalog, classification, inventory))
-    raise HeuristicError(f"unknown heuristic {heuristic!r}")
+        items = selective_instance_materialization(catalog, classification, inventory)
+    else:
+        raise HeuristicError(f"unknown heuristic {heuristic!r}")
+    return iter(items[start:stop])
 
 
 def expected_count(catalog: ProductCatalog, heuristic: str,

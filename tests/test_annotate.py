@@ -3,11 +3,15 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_annotate as reference
 from matpub.annotate import (
     AnnotateError,
     ElevationError,
     PageNotFound,
+    annotation_stream,
     block_overhead,
     conformity_check,
     dom_anchor_id,
@@ -16,8 +20,12 @@ from matpub.annotate import (
     render_page,
     serialize,
 )
+from matpub.catalog import Inventory
 from matpub.heuristics import (
+    HEURISTIC_NAMES,
     ClassificationPolicy,
+    HeuristicPolicies,
+    NoAvailableVariation,
     abstraction,
     classify_dimensions,
     full_materialization,
@@ -27,7 +35,7 @@ from matpub.heuristics import (
     type_level_materialization,
 )
 
-from conftest import eval_hotel_n
+from conftest import catalog_strategy, eval_hotel_n
 
 GOLDEN = Path(__file__).parent / "data" / "abstract_eval_hotel.jsonld"
 BASE = "http://127.0.0.1:8321"
@@ -175,6 +183,16 @@ class TestRenderPage:
         with pytest.raises(PageNotFound):
             render_page(annotations, eval_hotel, page=0, per_page=100)
 
+    def test_stream_is_sized_and_sliced(self, eval_hotel):
+        stream = annotation_stream(eval_hotel, "type-level", None, None, BASE)
+        listed = list(stream)
+        assert len(stream) == len(listed) == 401
+        assert [a.jsonld for a in stream[395:10 ** 20]] == \
+            [a.jsonld for a in listed[395:]]
+        assert stream[10 ** 20:] == []
+        with pytest.raises(ValueError):
+            stream[::2]
+
     def test_payload_additivity(self, eval_hotel):
         annotations = annotate_all(type_level_materialization(eval_hotel), eval_hotel)
         page = render_page(annotations, eval_hotel)
@@ -241,3 +259,33 @@ class TestAnchors:
         anchors = [dom_anchor_id(i) for i in items]
         assert len(set(anchors)) == len(anchors)
         assert anchors == [dom_anchor_id(i) for i in items]
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog=catalog_strategy(), per_page=st.integers(1, 7))
+def test_page_is_the_slice_of_the_reference_list(catalog, per_page):
+    """Pages 1, last, last + 1 and one above sys.maxsize of every heuristic
+    over a stream: the reference's slice, or PageNotFound exactly when the
+    page starts past the end. A heuristic that cannot publish says so on
+    every page number."""
+    snapshot, policies = Inventory.initial(catalog), HeuristicPolicies()
+    for heuristic in HEURISTIC_NAMES:
+        def page(number):
+            stream = annotation_stream(catalog, heuristic, snapshot, policies, BASE)
+            return render_page(stream, catalog, page=number, per_page=per_page)
+
+        try:
+            expected = list(reference.annotations(catalog, heuristic, snapshot,
+                                                  policies, BASE))
+        except NoAvailableVariation:
+            for number in (1, 2, 10 ** 20):
+                with pytest.raises(NoAvailableVariation):
+                    page(number)
+            continue
+        last = max(1, -(-len(expected) // per_page))
+        for number in (1, last, last + 1, 10 ** 20):
+            if number > 1 and (number - 1) * per_page >= len(expected):
+                with pytest.raises(PageNotFound):
+                    page(number)
+            else:
+                assert page(number) == reference.page(catalog, expected, number, per_page)

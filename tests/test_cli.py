@@ -56,6 +56,10 @@ class TestLoadConfig:
         assert config.endpoint_base == "http://127.0.0.1:8321"
         assert config.catalog().dimension("arrival").length == 10
 
+    def test_hard_cap_is_read_from_the_top_level_only(self, workdir):
+        path = write_config(workdir, hard_cap=100, policies={"hard_cap": 10 ** 6})
+        assert load_config(path).policies.hard_cap == 100
+
     def test_env_overrides_address(self, workdir, monkeypatch):
         monkeypatch.setenv("MATPUB_HOST", "0.0.0.0")
         monkeypatch.setenv("MATPUB_PORT", "9001")

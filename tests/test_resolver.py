@@ -65,6 +65,26 @@ class TestPages:
         assert response.text.count('application/ld+json') == 10
         assert get(server, "/page/full", page=10 ** 6, per_page=10).status_code == 404
 
+    @pytest.mark.parametrize("heuristic", HEURISTIC_NAMES)
+    def test_page_above_maxsize_is_404(self, server, heuristic, capfd):
+        response = get(server, f"/page/{heuristic}", page=10 ** 20, per_page=1)
+        assert response.status_code == 404
+        assert "out of range" in response.json()["error"]
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("page", [2, 10 ** 20])
+    @pytest.mark.parametrize("heuristic", ["full", "specialization"])
+    def test_unpublishable_is_422_at_any_page(self, heuristic, page, capfd):
+        """A capped full and a sold-out specialization answer 422 before any
+        page can be past the end."""
+        catalog = eval_hotel_n(3)
+        catalog.base_availability_rate = 0.0
+        with live_server(catalog, HeuristicPolicies(hard_cap=100)) as service:
+            response = get(service, f"/page/{heuristic}", page=page, per_page=1)
+        assert response.status_code == 422
+        assert "error" in response.json()
+        assert "Traceback" not in capfd.readouterr().err
+
     @pytest.mark.parametrize("path", ["/page/full", "/api/search"])
     @pytest.mark.parametrize("params, offender", [
         ({"page": 1, "per_page": 0}, "per_page"),
@@ -212,6 +232,28 @@ class TestBulkPageCache:
         first = service.page_html("full", page=2, per_page=10)
         assert service.page_html("full", page=2, per_page=10) == first
         assert builds == ["full", "full"]
+
+    def test_paginated_page_builds_only_its_items(self, service, monkeypatch):
+        """The last page of `full` builds its own 10 items and variations,
+        not the 710 before them."""
+        built = {}
+
+        def count_yields(name):
+            original, built[name] = getattr(heuristics, name), 0
+
+            def counting(*args, **kwargs):
+                for value in original(*args, **kwargs):
+                    built[name] += 1
+                    yield value
+            monkeypatch.setattr(heuristics, name, counting)
+
+        count_yields("publication_items")
+        count_yields("enumerate_variations")
+        body, _ = service.page_html("full", page=72, per_page=10)
+        assert built == {"publication_items": 10, "enumerate_variations": 10}
+        annotated = reference.annotations(service.catalog, "full", service.snapshot(),
+                                          service.policies, service.endpoint_base)
+        assert body == reference.page(service.catalog, annotated, 72, 10)
 
     def test_booking_rebuilds_the_full_page(self, service):
         assert self.out_of_stock(service.page_html("full")[0]) == []

@@ -24,6 +24,9 @@ catalog = resize_dimension(load_catalog("data/eval_hotel.catalog.json"), "arriva
 service = resolver.ResolverService(catalog)
 for heuristic in HEURISTIC_NAMES:
     service.page_html(heuristic)
+# A paginated page passes its range to `publication_items` as keywords.
+page, _ = service.page_html("full", page=2, per_page=10)
+assert page.count(b"application/ld+json") == 10
 server = resolver.make_server(service)
 thread = threading.Thread(target=server.serve_forever, daemon=True)
 thread.start()
