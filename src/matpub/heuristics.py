@@ -126,6 +126,14 @@ def _fixed_set_item(catalog: ProductCatalog, inventory: Inventory,
     )
 
 
+def full_count(catalog: ProductCatalog, hard_cap: int = DEFAULT_HARD_CAP) -> int:
+    """The number of variations, refused above `hard_cap`."""
+    total = count_variations(catalog)
+    if total > hard_cap:
+        raise MaterializationCapExceeded(total, hard_cap)
+    return total
+
+
 def iter_full_materialization(catalog: ProductCatalog,
                               inventory: Optional[Inventory] = None,
                               hard_cap: int = DEFAULT_HARD_CAP, start: int = 0,
@@ -133,9 +141,7 @@ def iter_full_materialization(catalog: ProductCatalog,
     """Streaming full materialization: one concrete item per variation from
     `start` up to `stop`. The prices run through a product of the price table's
     deltas in lockstep with the enumeration, added in the order `price` does."""
-    total = count_variations(catalog)
-    if total > hard_cap:
-        raise MaterializationCapExceeded(total, hard_cap)
+    full_count(catalog, hard_cap)
     inv = _snapshot(catalog, inventory)
     base = catalog.pricing.base_price
     deltas = itertools.product(*(deltas.values() for _, deltas, _, _ in catalog.price_table))
@@ -305,10 +311,11 @@ def publication_items(catalog: ProductCatalog, heuristic: str,
 
 def expected_count(catalog: ProductCatalog, heuristic: str,
                    policies: Optional[HeuristicPolicies] = None) -> int:
-    """Closed-form item count per heuristic; no enumeration."""
+    """Closed-form item count per heuristic; no enumeration. A `full` over its
+    cap is refused, as its items are, so `list()` of a stream raises that."""
     policies = policies or HeuristicPolicies()
     if heuristic == "full":
-        return count_variations(catalog)
+        return full_count(catalog, policies.hard_cap)
     if heuristic in ("abstraction", "specialization"):
         return 1
     if heuristic == "type-level":

@@ -4,13 +4,15 @@ in-memory inventory."""
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple
+from tempfile import TemporaryFile
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlparse
 
-from .annotate import PageNotFound, annotation_stream, render_page
+from .annotate import PageNotFound, annotation_stream, render_page, render_page_stream
 from .catalog import (
     CatalogError,
     Inventory,
@@ -55,11 +57,11 @@ class ResolverService:
     `Inventory` is one immutable value; book and reset replace it under the
     lock, so they are totally ordered, and a reader keeps the value it took.
 
-    Bulk pages (no paging parameter) are cached per heuristic, each built
-    from the current inventory. A booking or a reset replaces the inventory
-    and drops them. A stored page also depends on the catalog, the policies
-    and the endpoint base, so none of them may change once pages are served
-    (`make_server` sets the endpoint base before it serves)."""
+    Bulk pages (no paging parameter) are written per heuristic to a file from
+    the current inventory and sent from it; a booking or a reset drops them. A
+    stored page also depends on the catalog, the policies and the endpoint
+    base, so none of them may change once pages are served (`make_server`
+    sets the endpoint base before it serves)."""
 
     def __init__(self, catalog: ProductCatalog,
                  policies: Optional[HeuristicPolicies] = None,
@@ -68,10 +70,10 @@ class ResolverService:
         self.policies = policies or HeuristicPolicies()
         self.endpoint_base = endpoint_base
         self._lock = threading.Lock()
-        # Both are changed only under _lock. The cache holds at most one body
+        # Both are changed only under _lock. The cache holds at most one page
         # per heuristic, all built from `_inventory`.
         self._inventory = Inventory.initial(catalog)
-        self._bulk_pages: Dict[str, Tuple[bytes, int]] = {}
+        self._bulk_pages: Dict[str, Tuple[BinaryIO, int]] = {}
 
     # -- inventory -----------------------------------------------------------
 
@@ -150,32 +152,41 @@ class ResolverService:
 
     def page_html(self, heuristic: str, page: Optional[int] = None,
                   per_page: Optional[int] = None) -> Tuple[bytes, int]:
-        """The page and the epoch it was built at. A bulk page is built once
-        per inventory and then served from the cache; a paginated
-        page is built per request, since `page` x `per_page` has no bound.
-        Pages are built outside the lock, streaming the annotations into the
-        response buffer."""
-        if page is not None:
-            return self._build_page(heuristic, self.snapshot(), page, per_page)
+        """The page and the epoch it was built at. A bulk page is read back
+        from its stored file; a paginated page is built per request outside
+        the lock, since `page` x `per_page` has no bound."""
+        if page is None:
+            file, epoch = self.bulk_page(heuristic)
+            return os.pread(file.fileno(), os.fstat(file.fileno()).st_size, 0), epoch
+        snapshot = self.snapshot()
+        annotations = annotation_stream(self.catalog, heuristic, snapshot,
+                                        self.policies, self.endpoint_base)
+        return render_page(annotations, self.catalog, page, per_page), snapshot.epoch
+
+    def bulk_page(self, heuristic: str) -> Tuple[BinaryIO, int]:
+        """The bulk page, streamed outside the lock into an unlinked file once
+        per inventory, and its epoch. The file closes with its last reference,
+        or at once if the build raises."""
         with self._lock:
             cached = self._bulk_pages.get(heuristic)
             if cached is not None:
                 return cached
             inventory = self._inventory
-        built = self._build_page(heuristic, inventory)
+        annotations = annotation_stream(self.catalog, heuristic, inventory,
+                                        self.policies, self.endpoint_base)
+        file = TemporaryFile()
+        try:
+            render_page_stream(annotations, self.catalog, file.write)
+            file.flush()
+        except BaseException:
+            file.close()
+            raise
+        built = file, inventory.epoch
         with self._lock:
             # A booking or reset during the build has made it stale.
             if self._inventory is inventory:
                 self._bulk_pages[heuristic] = built
         return built
-
-    def _build_page(self, heuristic: str, snapshot: Inventory,
-                    page: Optional[int] = None,
-                    per_page: Optional[int] = None) -> Tuple[bytes, int]:
-        annotations = annotation_stream(self.catalog, heuristic, snapshot,
-                                        self.policies, self.endpoint_base)
-        body = render_page(annotations, self.catalog, page=page, per_page=per_page)
-        return body, snapshot.epoch
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +234,21 @@ class ResolverHandler(BaseHTTPRequestHandler):
         if self.log_fn:
             self.log_fn(fmt % args)
 
-    def _respond(self, status: int, body: bytes, content_type: str, epoch: int):
+    def _respond(self, status: int, body: bytes | BinaryIO, content_type: str, epoch: int):
+        size = len(body) if isinstance(body, bytes) else os.fstat(body.fileno()).st_size
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(size))
         self.send_header(EPOCH_HEADER, str(epoch))
         self.end_headers()
-        if self.command != "HEAD":  # a HEAD gets the GET's headers only
+        if self.command == "HEAD":  # a HEAD gets the GET's headers only
+            return
+        if isinstance(body, bytes):
             self.wfile.write(body)
+            return
+        offset = 0  # explicit offsets: threads share the file, not its position
+        while offset < size:
+            offset += os.sendfile(self.connection.fileno(), body.fileno(), offset, size - offset)
 
     def _json(self, status: int, doc, epoch: int):
         self._respond(status, _json_bytes(doc), "application/json; charset=utf-8", epoch)
@@ -262,8 +280,8 @@ class ResolverHandler(BaseHTTPRequestHandler):
             if unknown:
                 raise BadSearchRequest(f"unknown parameter {unknown[0]!r}", unknown[0])
             # Either paging parameter on its own selects a paginated page.
-            page, per_page = _parse_paging(query) if query else (None, None)
-            body, epoch = self.service.page_html(heuristic, page=page, per_page=per_page)
+            body, epoch = (self.service.page_html(heuristic, *_parse_paging(query)) if query
+                           else self.service.bulk_page(heuristic))
         except BadSearchRequest as exc:
             self._error(400, str(exc), epoch, offender=exc.offender)
             return
@@ -275,6 +293,9 @@ class ResolverHandler(BaseHTTPRequestHandler):
             return
         except PageNotFound as exc:
             self._error(404, str(exc), epoch)
+            return
+        except OSError as exc:
+            self._error(503, f"page could not be stored: {exc}", epoch)
             return
         self._respond(200, body, "text/html; charset=utf-8", epoch)
 

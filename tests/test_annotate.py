@@ -25,6 +25,7 @@ from matpub.heuristics import (
     HEURISTIC_NAMES,
     ClassificationPolicy,
     HeuristicPolicies,
+    MaterializationCapExceeded,
     NoAvailableVariation,
     abstraction,
     classify_dimensions,
@@ -35,7 +36,7 @@ from matpub.heuristics import (
     type_level_materialization,
 )
 
-from conftest import catalog_strategy, eval_hotel_n
+from conftest import catalog_strategy, eval_hotel_n, make_catalog
 
 GOLDEN = Path(__file__).parent / "data" / "abstract_eval_hotel.jsonld"
 BASE = "http://127.0.0.1:8321"
@@ -192,6 +193,19 @@ class TestRenderPage:
         assert stream[10 ** 20:] == []
         with pytest.raises(ValueError):
             stream[::2]
+
+    @pytest.mark.parametrize("dims", [13, 20], ids=["count-over-memory", "count-over-maxsize"])
+    def test_list_of_a_capped_stream_is_refused_by_the_cap(self, dims):
+        """`list()` asks for the length before it iterates: a `full` over its
+        cap refuses there, as slicing does, rather than pre-sizing a list of
+        10**13 items (MemoryError) or 10**20 (OverflowError)."""
+        catalog = make_catalog([(f"d{i}", "categorical", [f"v{j}" for j in range(10)])
+                                for i in range(dims)])
+        stream = annotation_stream(catalog, "full", None, None, BASE)
+        for build in (list, len, lambda s: s[5:7]):
+            with pytest.raises(MaterializationCapExceeded) as caught:
+                build(stream)
+            assert caught.value.count == 10 ** dims
 
     def test_payload_additivity(self, eval_hotel):
         annotations = annotate_all(type_level_materialization(eval_hotel), eval_hotel)

@@ -1,18 +1,26 @@
+import errno
+import gc
+import hashlib
 import http.client
+import json
+import os
 import random
 import socket
+import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
 
 import reference_annotate as reference
-from matpub import heuristics
-from matpub.catalog import count_variations, enumerate_variations
+from matpub import heuristics, resolver
+from matpub.catalog import Inventory, count_variations, enumerate_variations
 from matpub.consumer import extract_annotations
 from matpub.heuristics import HEURISTIC_NAMES, HeuristicPolicies
-from matpub.resolver import MAX_BODY_BYTES, MAX_PER_PAGE, ResolverService
+from matpub.resolver import EPOCH_HEADER, MAX_BODY_BYTES, MAX_PER_PAGE, ResolverService
 
 from conftest import eval_hotel_n, live_server, make_catalog, oracle_search
 
@@ -310,6 +318,205 @@ class TestBulkPageCache:
         assert (self.out_of_stock(body), epoch) == ([booked.assignments], 1)
         assert body == self.fresh_full_page(service)
         assert builds == ["full", "full"]
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def collected():
+    """Collect the garbage of earlier tests, whose servers sit in reference
+    cycles with their stored pages, so that no file of theirs closes while
+    this test counts its own. The servers' threads then close their ends of
+    the client connections just collected."""
+    gc.collect()
+    count = -1
+    while count != open_fds():
+        count = open_fds()
+        time.sleep(0.05)
+
+
+def settles_at(expected, timeout=10.0):
+    """Whether the process's open file count returns to `expected` in time;
+    a server thread closes its connection just after the client sees EOF."""
+    deadline = time.monotonic() + timeout
+    while open_fds() != expected:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+class TestStoredPages:
+    """A bulk page is written once to an unlinked file and sent from it: the
+    server holds no page body, and the file lives exactly as long as the
+    stored page or a request still sending it."""
+
+    @pytest.fixture(scope="class")
+    def hotel40(self):
+        return eval_hotel_n(40)  # 9,600 variations: a full page of about 12 MB
+
+    @staticmethod
+    def reference_full_page(service):
+        annotated = reference.annotations(service.catalog, "full", service.snapshot(),
+                                          service.policies, service.endpoint_base)
+        return reference.page(service.catalog, annotated)
+
+    @staticmethod
+    def connect(service, rcvbuf=None):
+        host, port = service.endpoint_base.split("//")[1].split(":")
+        sock = socket.socket()
+        if rcvbuf:  # set before connecting, so the window stays small
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        sock.connect((host, int(port)))
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        conn.sock = sock
+        return conn
+
+    @classmethod
+    def fetch(cls, service, path):
+        """(status, headers, body) on a connection of its own, closed after."""
+        conn = cls.connect(service)
+        try:
+            conn.request("GET", path, headers={"Connection": "close"})
+            response = conn.getresponse()
+            return response.status, dict(response.getheaders()), response.read()
+        finally:
+            conn.close()
+
+    def test_cold_get_holds_no_page_in_memory(self, hotel40):
+        with live_server(hotel40) as service:
+            expected = self.reference_full_page(service)
+            size, digest = len(expected), hashlib.sha256(expected).hexdigest()
+            del expected
+            conn = self.connect(service)
+            tracemalloc.start()
+            try:
+                conn.request("GET", "/page/full")
+                response = conn.getresponse()
+                received, sha = 0, hashlib.sha256()
+                while chunk := response.read(64 * 1024):
+                    received += len(chunk)
+                    sha.update(chunk)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                conn.close()
+        assert response.status == 200
+        assert (received, sha.hexdigest()) == (size, digest)
+        assert size > 4 * 10 ** 6
+        assert peak < size / 4, f"traced peak {peak} B for a {size} B page"
+
+    def test_get_in_flight_across_a_booking(self, hotel40, collected):
+        """The body is larger than both socket buffers, so the server is still
+        sending it when the booking drops the stored page."""
+        with live_server(hotel40) as service:
+            before = self.reference_full_page(service)
+            start = open_fds()
+            conn = self.connect(service, rcvbuf=64 * 1024)
+            try:
+                conn.request("GET", "/page/full", headers={"Connection": "close"})
+                response = conn.getresponse()
+                first = response.read(64 * 1024)
+                booked = list(enumerate_variations(service.catalog))[5]
+                assert service.book(booked.canonical_id).status == "confirmed"
+                body = first + response.read()
+            finally:
+                conn.close()
+            assert len(before) > 8 * 10 ** 6
+            assert response.getheader(EPOCH_HEADER) == "0"
+            assert body == before
+            assert settles_at(start)
+            status, headers, after = self.fetch(service, "/page/full")
+            assert (status, headers[EPOCH_HEADER]) == (200, "1")
+            assert after == self.reference_full_page(service) != before
+            assert settles_at(start + 1)  # the stored page of epoch 1
+            service.reset()
+            assert settles_at(start)
+
+    def test_concurrent_gets_across_bookings(self, collected):
+        """More clients than cores share the stored files while bookings
+        replace them: every body is the reference page of its epoch, and no
+        file outlives the run."""
+        catalog = eval_hotel_n(3)
+        booked = list(enumerate_variations(catalog))[:6]
+        seen = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with live_server(catalog) as service:
+                start = open_fds()
+
+                def client():
+                    for _ in range(4):
+                        status, headers, body = self.fetch(service, "/page/full")
+                        seen.append((status, int(headers[EPOCH_HEADER]),
+                                     hashlib.sha256(body).hexdigest()))
+
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(client) for _ in range(6)]
+                    for variation in booked:
+                        time.sleep(0.02)
+                        assert service.book(variation.canonical_id).status == "confirmed"
+                    for future in futures:
+                        future.result(timeout=60)
+                service.reset()
+                assert settles_at(start)
+        finally:
+            sys.setswitchinterval(switch)
+        inventory, expected = Inventory.initial(catalog), {}
+        for epoch in range(len(booked) + 1):
+            annotated = reference.annotations(catalog, "full", inventory, None, "")
+            expected[epoch] = hashlib.sha256(reference.page(catalog, annotated)).hexdigest()
+            if epoch < len(booked):
+                inventory = inventory.book(booked[epoch].canonical_id)
+        assert len(seen) == 24
+        assert all(status == 200 and digest == expected[epoch]
+                   for status, epoch, digest in seen)
+
+    def test_unpublishable_build_leaves_no_file(self, collected):
+        catalog = eval_hotel_n(3)
+        catalog.base_availability_rate = 0.0
+        with live_server(catalog, HeuristicPolicies(hard_cap=100)) as service:
+            start = open_fds()
+            for heuristic in ("full", "specialization"):
+                assert self.fetch(service, f"/page/{heuristic}")[0] == 422
+            assert settles_at(start)
+
+    @pytest.mark.parametrize("fails_on", ["create", "write"])
+    def test_failed_store_is_503_and_not_kept(self, monkeypatch, fails_on, collected):
+        no_space = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real, opened = resolver.TemporaryFile, []
+
+        class FullDisk:
+            def __init__(self):
+                self.file = real()
+                opened.append(self.file)
+
+            def write(self, data):
+                raise no_space
+
+            def close(self):
+                self.file.close()
+
+        def create():
+            raise no_space
+
+        with live_server(eval_hotel_n(3)) as service:
+            start = open_fds()
+            monkeypatch.setattr(resolver, "TemporaryFile",
+                                create if fails_on == "create" else FullDisk)
+            status, headers, body = self.fetch(service, "/page/full")
+            assert (status, headers[EPOCH_HEADER]) == (503, "0")
+            assert "error" in json.loads(body)
+            assert all(file.closed for file in opened)
+            assert settles_at(start)
+            monkeypatch.undo()
+            status, _, body = self.fetch(service, "/page/full")
+            assert status == 200
+            assert body == self.reference_full_page(service)
 
 
 class TestSearch:
