@@ -5,8 +5,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from decimal import Decimal
 from enum import Enum
@@ -217,10 +218,7 @@ def check_seed(seed) -> None:
 
 def count_variations(catalog: ProductCatalog) -> int:
     """Product of dimension lengths; O(#dimensions), no enumeration."""
-    n = 1
-    for d in catalog.dimensions:
-        n *= len(d.values)
-    return n
+    return math.prod(len(d.values) for d in catalog.dimensions)
 
 
 def enumerate_variations(catalog: ProductCatalog,
@@ -430,41 +428,26 @@ def load_catalog(path: Union[str, Path]) -> ProductCatalog:
 
 def resize_dimension(catalog: ProductCatalog, name: str, length: int) -> ProductCatalog:
     """Return a copy of the catalog with the named dimension regrown to
-    `length` values from its first value (daily dates for temporal, step-1
-    integers for ordinal, first-n or synthesized labels for categorical).
-    Modifiers on dropped values are dropped with them."""
+    `length` values from its first value (the catalog file's rule: daily
+    dates, or integers at the first step; first-n or synthesized labels for
+    categorical). Modifiers on dropped values are dropped with them."""
     if length < 1:
         raise CatalogError("dimension length must be >= 1")
     dim = catalog.dimension(name)
-    if dim.kind is DimensionKind.TEMPORAL:
-        start = date.fromisoformat(dim.values[0])
-        values: Tuple[Value, ...] = tuple(
-            (start + timedelta(days=i)).isoformat() for i in range(length))
-    elif dim.kind is DimensionKind.ORDINAL:
-        start = dim.values[0]
-        step = dim.values[1] - dim.values[0] if len(dim.values) > 1 else 1
-        values = tuple(start + i * step for i in range(length))
-    else:
+    if dim.kind is DimensionKind.CATEGORICAL:
         values = tuple(dim.values[:length]) + tuple(
             f"{name}-{i}" for i in range(len(dim.values), length))
-    new_dims = [
-        DimensionDef(d.name, d.kind, values, d.display_label) if d.name == name else d
-        for d in catalog.dimensions
-    ]
+    else:
+        spec = {"start": dim.values[0], "count": length}
+        if dim.kind is DimensionKind.ORDINAL and len(dim.values) > 1:
+            spec["step"] = dim.values[1] - dim.values[0]
+        values = _expand_values(dim.kind, spec)
+    new_dims = [replace(d, values=values) if d.name == name else d for d in catalog.dimensions]
     value_sets = {d.name: set(d.values) for d in new_dims}
     new_modifiers = {
         (dname, v): delta
         for (dname, v), delta in catalog.pricing.modifiers.items()
         if v in value_sets[dname]
     }
-    return ProductCatalog(
-        product_name=catalog.product_name,
-        description=catalog.description,
-        image_url=catalog.image_url,
-        area_served=catalog.area_served,
-        dimensions=new_dims,
-        pricing=PricingModel(catalog.pricing.base_price, catalog.pricing.currency,
-                             new_modifiers),
-        inventory_seed=catalog.inventory_seed,
-        base_availability_rate=catalog.base_availability_rate,
-    )
+    return replace(catalog, dimensions=new_dims,
+                   pricing=replace(catalog.pricing, modifiers=new_modifiers))

@@ -93,19 +93,22 @@ def load_config(path: str) -> Config:
     catalog_path = (config_path.parent / doc["catalog_path"]).resolve()
     if not catalog_path.exists():
         raise ConfigError(f"catalog file not found: {catalog_path}")
-    server = doc.get("server", {})
-    bench = doc.get("bench", {})
-    config = Config(
-        catalog_path=catalog_path,
-        host=os.environ.get("MATPUB_HOST", server.get("host", "127.0.0.1")),
-        port=int(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
-        policies=_policies_from_dict(doc),
-        bench_n_values=[int(n) for n in bench.get("n_values", [1, 183, 365])],
-        bench_repetitions=int(bench.get("repetitions", 3)),
-        bench_output_path=bench.get("output_path", "bench.csv"),
-        bench_flexible_dimension=bench.get("flexible_dimension", "arrival"),
-        bench_heuristics=list(bench.get("heuristics", HEURISTIC_NAMES)),
-    )
+    try:
+        server = doc.get("server", {})
+        bench = doc.get("bench", {})
+        config = Config(
+            catalog_path=catalog_path,
+            host=os.environ.get("MATPUB_HOST", server.get("host", "127.0.0.1")),
+            port=int(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
+            policies=_policies_from_dict(doc),
+            bench_n_values=[int(n) for n in bench.get("n_values", [1, 183, 365])],
+            bench_repetitions=int(bench.get("repetitions", 3)),
+            bench_output_path=bench.get("output_path", "bench.csv"),
+            bench_flexible_dimension=bench.get("flexible_dimension", "arrival"),
+            bench_heuristics=list(bench.get("heuristics", HEURISTIC_NAMES)),
+        )
+    except (ValueError, TypeError, AttributeError) as exc:  # HeuristicError too
+        raise ConfigError(f"malformed config value: {exc}") from exc
     try:
         config.catalog()
     except CatalogError as exc:

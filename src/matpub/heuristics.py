@@ -4,6 +4,7 @@ All of them are pure transformations of (catalog, inventory snapshot, policy).""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -12,6 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .catalog import (
     TWO_PLACES,
+    DimensionDef,
     Inventory,
     ProductCatalog,
     RangeSummary,
@@ -158,11 +160,37 @@ def full_materialization(catalog: ProductCatalog,
     return list(iter_full_materialization(catalog, inventory, hard_cap))
 
 
+def _fixed_set_items(catalog: ProductCatalog, inventory: Optional[Inventory],
+                     groups: List[Tuple[DimensionDef, ...]], start: int = 0,
+                     stop: Optional[int] = None) -> Iterator[PublicationItem]:
+    """The elevated items from `start` up to `stop` of the fixed sets that
+    `groups` spans, group after group; a skipped fixed set is never built."""
+    inv = _snapshot(catalog, inventory)
+    combos = ((group, combo) for group in groups
+              for combo in itertools.product(*(d.values for d in group)))
+    for group, combo in itertools.islice(combos, start, stop):
+        yield _fixed_set_item(catalog, inv, {d.name: v for d, v in zip(group, combo)})
+
+
+def _dimension_groups(catalog: ProductCatalog, heuristic: str,
+                      classification: Optional[DimensionClassification] = None
+                      ) -> List[Tuple[DimensionDef, ...]]:
+    """An elevated heuristic's dimension groups, in page order: its fixed sets
+    are the value product of each group, whose dimensions keep their declared
+    order. Selective's one group is the short side of `classification`."""
+    if heuristic == "abstraction":
+        return [()]
+    if heuristic == "type-level":
+        return [(d,) for d in catalog.dimensions]
+    if heuristic == "selective":
+        return [tuple(d for d in catalog.dimensions if d.name in classification.short)]
+    raise HeuristicError(f"unknown heuristic {heuristic!r}")
+
+
 def abstraction(catalog: ProductCatalog,
                 inventory: Optional[Inventory] = None) -> List[PublicationItem]:
     """One maximally abstract item: every dimension summarized as a range."""
-    inv = _snapshot(catalog, inventory)
-    return [_fixed_set_item(catalog, inv, {})]
+    return list(_fixed_set_items(catalog, inventory, _dimension_groups(catalog, "abstraction")))
 
 
 class PickerPolicy(str, Enum):
@@ -199,12 +227,7 @@ def type_level_materialization(catalog: ProductCatalog,
                                inventory: Optional[Inventory] = None
                                ) -> List[PublicationItem]:
     """One item per value per dimension: sum of dimension lengths items."""
-    inv = _snapshot(catalog, inventory)
-    return [
-        _fixed_set_item(catalog, inv, {d.name: v})
-        for d in catalog.dimensions
-        for v in d.values
-    ]
+    return list(_fixed_set_items(catalog, inventory, _dimension_groups(catalog, "type-level")))
 
 
 class ClassificationMode(str, Enum):
@@ -271,10 +294,8 @@ def selective_instance_materialization(catalog: ProductCatalog,
     if set(classification.short) | set(classification.long) != declared \
             or set(classification.short) & set(classification.long):
         raise HeuristicError("classification must partition the catalog's dimensions")
-    inv = _snapshot(catalog, inventory)
-    short_dims = [d for d in catalog.dimensions if d.name in classification.short]
-    return [_fixed_set_item(catalog, inv, {d.name: v for d, v in zip(short_dims, combo)})
-            for combo in itertools.product(*(d.values for d in short_dims))]
+    return list(_fixed_set_items(catalog, inventory,
+                                 _dimension_groups(catalog, "selective", classification)))
 
 
 @dataclass
@@ -291,22 +312,16 @@ def publication_items(catalog: ProductCatalog, heuristic: str,
                       inventory: Optional[Inventory] = None,
                       policies: Optional[HeuristicPolicies] = None,
                       start: int = 0, stop: Optional[int] = None) -> Iterator[PublicationItem]:
-    """Dispatch by heuristic name: its items from `start` up to `stop`, streamed for `full`."""
+    """Dispatch by heuristic name: its items from `start` up to `stop`, building no other."""
     policies = policies or HeuristicPolicies()
     if heuristic == "full":
         return iter_full_materialization(catalog, inventory, policies.hard_cap, start, stop)
-    if heuristic == "abstraction":
-        items = abstraction(catalog, inventory)
-    elif heuristic == "specialization":
+    if heuristic == "specialization":
         items = specialization(catalog, inventory, policies.picker, policies.picker_seed)
-    elif heuristic == "type-level":
-        items = type_level_materialization(catalog, inventory)
-    elif heuristic == "selective":
-        classification = classify_dimensions(catalog, policies.classification)
-        items = selective_instance_materialization(catalog, classification, inventory)
-    else:
-        raise HeuristicError(f"unknown heuristic {heuristic!r}")
-    return iter(items[start:stop])
+        return iter(items[start:stop])
+    classification = classify_dimensions(catalog, policies.classification)
+    return _fixed_set_items(catalog, inventory,
+                            _dimension_groups(catalog, heuristic, classification), start, stop)
 
 
 def expected_count(catalog: ProductCatalog, heuristic: str,
@@ -316,14 +331,8 @@ def expected_count(catalog: ProductCatalog, heuristic: str,
     policies = policies or HeuristicPolicies()
     if heuristic == "full":
         return full_count(catalog, policies.hard_cap)
-    if heuristic in ("abstraction", "specialization"):
+    if heuristic == "specialization":
         return 1
-    if heuristic == "type-level":
-        return sum(len(d.values) for d in catalog.dimensions)
-    if heuristic == "selective":
-        classification = classify_dimensions(catalog, policies.classification)
-        n = 1
-        for name in classification.short:
-            n *= len(catalog.dimension(name).values)
-        return n
-    raise HeuristicError(f"unknown heuristic {heuristic!r}")
+    classification = classify_dimensions(catalog, policies.classification)
+    groups = _dimension_groups(catalog, heuristic, classification)
+    return sum(math.prod(len(d.values) for d in group) for group in groups)

@@ -224,15 +224,17 @@ def _json_bytes(doc) -> bytes:
 
 
 class ResolverHandler(BaseHTTPRequestHandler):
-    service: ResolverService = None  # bound by make_server
-    log_fn: Optional[Callable[[str], None]] = None
     protocol_version = "HTTP/1.1"
 
     # -- plumbing ------------------------------------------------------------
 
+    @property
+    def service(self) -> ResolverService:
+        return self.server.service
+
     def log_message(self, fmt, *args):
-        if self.log_fn:
-            self.log_fn(fmt % args)
+        if self.server.log_fn:
+            self.server.log_fn(fmt % args)
 
     def _respond(self, status: int, body: bytes | BinaryIO, content_type: str, epoch: int):
         size = len(body) if isinstance(body, bytes) else os.fstat(body.fileno()).st_size
@@ -350,16 +352,19 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such path {url.path!r}", self.service.epoch)
 
 
+class ResolverServer(ThreadingHTTPServer):
+    """One service's server: `make_server` sets the `service` and `log_fn` handlers read."""
+    daemon_threads = True
+    request_queue_size = 128  # survive concurrent client bursts
+    service: ResolverService
+    log_fn: Optional[Callable[[str], None]] = None
+
+
 def make_server(service: ResolverService, host: str = "127.0.0.1", port: int = 0,
                 log_fn: Optional[Callable[[str], None]] = None) -> ThreadingHTTPServer:
     """Bind a threading HTTP server for the service. With port=0 the OS picks a
     free port; the service's endpoint base is updated to the bound address."""
-    handler = type("BoundResolverHandler", (ResolverHandler,),
-                   {"service": service, "log_fn": staticmethod(log_fn) if log_fn else None})
-    server = ThreadingHTTPServer((host, port), handler, bind_and_activate=False)
-    server.daemon_threads = True
-    server.request_queue_size = 128  # survive concurrent client bursts
-    server.server_bind()
-    server.server_activate()
+    server = ResolverServer((host, port), ResolverHandler)
+    server.service, server.log_fn = service, log_fn
     service.endpoint_base = f"http://{server.server_address[0]}:{server.server_address[1]}"
     return server

@@ -79,6 +79,31 @@ class TestLoadConfig:
     def test_unreadable_config_is_exit_1(self, workdir):
         assert main(["serve", "--config", str(workdir / "absent.json")]) == 1
 
+    @pytest.mark.parametrize("overrides, env", [
+        ({"policies": {"classification": {"mode": "bogus"}}}, {}),
+        ({"policies": {"classification": {"length_threshold": 0}}}, {}),
+        ({"policies": {"classification": {"length_threshold": "x"}}}, {}),
+        ({"policies": {"picker": {"mode": "bogus"}}}, {}),
+        ({"policies": {"picker": {"seed": "x"}}}, {}),
+        ({"policies": {"classification": {"mode": "budget", "byte_budget": 10}}}, {}),
+        ({"hard_cap": "lots"}, {}),
+        ({"server": {"port": "abc"}}, {}),
+        ({}, {"MATPUB_PORT": "abc"}),
+        ({"bench": {"n_values": ["x"]}}, {}),
+        ({"bench": {"heuristics": 5}}, {}),
+        ({"policies": []}, {}),
+        ({"server": "x"}, {}),
+        ({"policies": {"classification": [1]}}, {}),
+    ])
+    def test_malformed_value_is_exit_1(self, workdir, monkeypatch, capsys, overrides, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        config = write_config(workdir, **overrides)
+        assert main(["generate", "--config", config, "--heuristic", "abstraction",
+                     "--out-dir", str(workdir / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+
 
 class TestGenerate:
     def run(self, workdir, heuristic, config=None, out="out"):

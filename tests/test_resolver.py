@@ -17,6 +17,7 @@ import requests
 
 import reference_annotate as reference
 from matpub import heuristics, resolver
+from matpub.annotate import PageNotFound
 from matpub.catalog import Inventory, count_variations, enumerate_variations
 from matpub.consumer import extract_annotations
 from matpub.heuristics import HEURISTIC_NAMES, HeuristicPolicies
@@ -320,16 +321,56 @@ class TestBulkPageCache:
         assert builds == ["full", "full"]
 
 
+class TestPagedFixedSets:
+    """A paginated abstraction, type-level or selective page builds, and so
+    checks the availability of, only the fixed sets on it (eval_hotel)."""
+
+    @staticmethod
+    def scans(monkeypatch):
+        calls = []
+        any_available = heuristics.any_available
+
+        def counting(catalog, inventory, fixed):
+            calls.append(fixed)
+            return any_available(catalog, inventory, fixed)
+
+        monkeypatch.setattr(heuristics, "any_available", counting)
+        return calls
+
+    @pytest.mark.parametrize("heuristic, page", [
+        ("type-level", 1), ("type-level", 200), ("type-level", 401), ("selective", 1)])
+    def test_one_item_page_scans_once(self, eval_hotel, monkeypatch, heuristic, page):
+        service = ResolverService(eval_hotel)
+        calls = self.scans(monkeypatch)
+        body, _ = service.page_html(heuristic, page, 1)
+        assert len(calls) == 1
+        annotated = reference.annotations(eval_hotel, heuristic, service.snapshot(),
+                                          service.policies, service.endpoint_base)
+        assert body == reference.page(eval_hotel, annotated, page, 1)
+
+    def test_page_past_the_end_scans_nothing(self, eval_hotel, monkeypatch):
+        service = ResolverService(eval_hotel)
+        calls = self.scans(monkeypatch)
+        with pytest.raises(PageNotFound):
+            service.page_html("abstraction", 2, 1)
+        assert calls == []
+
+    def test_sold_out_specialization_still_chooses_first(self):
+        catalog = eval_hotel_n(365)
+        catalog.base_availability_rate = 0.0
+        with pytest.raises(heuristics.NoAvailableVariation):
+            ResolverService(catalog).page_html("specialization", 2, 1)
+
+
 def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
 @pytest.fixture
 def collected():
-    """Collect the garbage of earlier tests, whose servers sit in reference
-    cycles with their stored pages, so that no file of theirs closes while
-    this test counts its own. The servers' threads then close their ends of
-    the client connections just collected."""
+    """Collect the garbage of earlier tests, so that no file of theirs
+    closes while this test counts its own. The servers' threads then close
+    their ends of the client connections just collected."""
     gc.collect()
     count = -1
     while count != open_fds():
@@ -475,6 +516,27 @@ class TestStoredPages:
         assert len(seen) == 24
         assert all(status == 200 and digest == expected[epoch]
                    for status, epoch, digest in seen)
+
+    def test_dropped_server_closes_its_files_at_once(self, collected):
+        """No reference cycle holds a server's service: once the server is
+        shut down and dropped, its stored page closes without a collection."""
+        gc.disable()
+        try:
+            start = open_fds()
+            service = ResolverService(eval_hotel_n(3))
+            server = resolver.make_server(service)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            status, _, body = self.fetch(service, "/page/full")
+            assert status == 200 and body == self.reference_full_page(service)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            del service, server, thread
+            assert settles_at(start)
+        finally:
+            gc.enable()
 
     def test_unpublishable_build_leaves_no_file(self, collected):
         catalog = eval_hotel_n(3)
