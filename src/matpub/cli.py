@@ -109,6 +109,8 @@ def load_config(path: str) -> Config:
         )
     except (ValueError, TypeError, AttributeError) as exc:  # HeuristicError too
         raise ConfigError(f"malformed config value: {exc}") from exc
+    if not 0 <= config.port <= 65535:
+        raise ConfigError(f"server port must be in 0..65535, got {config.port}")
     try:
         config.catalog()
     except CatalogError as exc:

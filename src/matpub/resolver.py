@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
+import weakref
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from tempfile import TemporaryFile
@@ -45,6 +47,21 @@ class BadSearchRequest(ValueError):
         self.offender = offender
 
 
+class StoredPage:
+    """A bulk page in an unlinked file. The file is closed as soon as its last
+    holder, the page cache or a request still sending it, lets go. The
+    finalizer holds the file, so a page dropped inside a reference cycle still
+    closes it before the collector could finalize it unclosed."""
+
+    def __init__(self, file: BinaryIO):
+        self.file = file
+        self.size = os.fstat(file.fileno()).st_size
+        weakref.finalize(self, file.close)
+
+    def fileno(self) -> int:
+        return self.file.fileno()
+
+
 @dataclass
 class BookingResult:
     status: str  # confirmed | already_booked | unknown_offer
@@ -73,7 +90,7 @@ class ResolverService:
         # Both are changed only under _lock. The cache holds at most one page
         # per heuristic, all built from `_inventory`.
         self._inventory = Inventory.initial(catalog)
-        self._bulk_pages: Dict[str, Tuple[BinaryIO, int]] = {}
+        self._bulk_pages: Dict[str, Tuple[StoredPage, int]] = {}
 
     # -- inventory -----------------------------------------------------------
 
@@ -156,17 +173,17 @@ class ResolverService:
         from its stored file; a paginated page is built per request outside
         the lock, since `page` x `per_page` has no bound."""
         if page is None:
-            file, epoch = self.bulk_page(heuristic)
-            return os.pread(file.fileno(), os.fstat(file.fileno()).st_size, 0), epoch
+            stored, epoch = self.bulk_page(heuristic)
+            return os.pread(stored.fileno(), stored.size, 0), epoch
         snapshot = self.snapshot()
         annotations = annotation_stream(self.catalog, heuristic, snapshot,
                                         self.policies, self.endpoint_base)
         return render_page(annotations, self.catalog, page, per_page), snapshot.epoch
 
-    def bulk_page(self, heuristic: str) -> Tuple[BinaryIO, int]:
+    def bulk_page(self, heuristic: str) -> Tuple[StoredPage, int]:
         """The bulk page, streamed outside the lock into an unlinked file once
-        per inventory, and its epoch. The file closes with its last reference,
-        or at once if the build raises."""
+        per inventory, and its epoch. The file closes at once if the build
+        raises."""
         with self._lock:
             cached = self._bulk_pages.get(heuristic)
             if cached is not None:
@@ -178,10 +195,10 @@ class ResolverService:
         try:
             render_page_stream(annotations, self.catalog, file.write)
             file.flush()
+            built = StoredPage(file), inventory.epoch
         except BaseException:
             file.close()
             raise
-        built = file, inventory.epoch
         with self._lock:
             # A booking or reset during the build has made it stale.
             if self._inventory is inventory:
@@ -236,21 +253,32 @@ class ResolverHandler(BaseHTTPRequestHandler):
         if self.server.log_fn:
             self.server.log_fn(fmt % args)
 
-    def _respond(self, status: int, body: bytes | BinaryIO, content_type: str, epoch: int):
-        size = len(body) if isinstance(body, bytes) else os.fstat(body.fileno()).st_size
+    def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int):
+        """Put the whole response on the wire in one send. Sent in two, the
+        body would wait on a kept-alive connection until the client's delayed
+        ACK of the headers (Nagle's algorithm), about 40 ms."""
+        size = len(body) if isinstance(body, bytes) else body.size
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(size))
         self.send_header(EPOCH_HEADER, str(epoch))
-        self.end_headers()
-        if self.command == "HEAD":  # a HEAD gets the GET's headers only
-            return
-        if isinstance(body, bytes):
-            self.wfile.write(body)
-            return
-        offset = 0  # explicit offsets: threads share the file, not its position
-        while offset < size:
-            offset += os.sendfile(self.connection.fileno(), body.fileno(), offset, size - offset)
+        head = b""  # an HTTP/0.9 answer is the body alone
+        if self.request_version != "HTTP/0.9":  # end the block as `end_headers` does, unsent
+            self._headers_buffer.append(b"\r\n")
+            head, self._headers_buffer = b"".join(self._headers_buffer), []
+        try:
+            if self.command == "HEAD":  # a HEAD gets the GET's headers only
+                self.connection.sendall(head)
+            elif isinstance(body, bytes):
+                self.connection.sendall(head + body)
+            else:  # the kernel holds the headers for the file's first segment
+                self.connection.sendall(head, socket.MSG_MORE)
+                offset = 0  # explicit offsets: threads share the file, not its position
+                while offset < size:
+                    offset += os.sendfile(self.connection.fileno(), body.fileno(),
+                                          offset, size - offset)
+        except ConnectionError:  # the client hung up: end its connection only
+            self.close_connection = True
 
     def _json(self, status: int, doc, epoch: int):
         self._respond(status, _json_bytes(doc), "application/json; charset=utf-8", epoch)

@@ -104,6 +104,18 @@ class TestLoadConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
 
+    @pytest.mark.parametrize("overrides, env", [
+        ({"server": {"host": "127.0.0.1", "port": 70000}}, {}),
+        ({}, {"MATPUB_PORT": "-1"}),
+    ])
+    def test_port_outside_range_is_exit_1(self, workdir, monkeypatch, capsys, overrides, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["serve", "--config", write_config(workdir, **overrides)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert "0..65535" in err[0]
+
 
 class TestGenerate:
     def run(self, workdir, heuristic, config=None, out="out"):

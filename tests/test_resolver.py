@@ -6,11 +6,15 @@ import json
 import os
 import random
 import socket
+import statistics
+import struct
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlencode
 
 import pytest
 import requests
@@ -189,6 +193,108 @@ class TestHead:
         assert status == 200
         assert len(body) == int(head[1]["Content-Length"]) == int(headers["Content-Length"])
         assert body.count(b"application/ld+json") == 8
+
+
+def address(service):
+    host, port = service.endpoint_base.split("//")[1].split(":")
+    return host, int(port)
+
+
+def reference_page(service, heuristic):
+    annotated = reference.annotations(service.catalog, heuristic, service.snapshot(),
+                                      service.policies, service.endpoint_base)
+    return reference.page(service.catalog, annotated)
+
+
+def read_until_closed(sock):
+    data = b""
+    while chunk := sock.recv(64 * 1024):
+        data += chunk
+    return data
+
+
+class TestOneSend:
+    """Each response leaves in one send, so a kept-alive connection does not
+    wait for the client's delayed ACK between the headers and the body."""
+
+    def test_no_delayed_ack_wait_on_a_kept_alive_connection(self, hotel10):
+        variations = list(enumerate_variations(hotel10))
+        kinds = {
+            "search": lambda i: ("GET", "/api/search?" + urlencode(
+                {k: str(x) for k, x in variations[i].assignments.items()}), None),
+            "book": lambda i: ("POST", "/api/book",
+                               json.dumps({"canonical_id": variations[i].canonical_id})),
+            "page": lambda i: ("GET", "/page/abstraction", None),
+            "head": lambda i: ("HEAD", "/page/type-level", None),
+        }
+        took = {kind: [] for kind in kinds}
+        with live_server(hotel10) as service:
+            conn = http.client.HTTPConnection(*address(service), timeout=30)
+            try:
+                for i in range(30):
+                    for kind, request in kinds.items():
+                        method, path, body = request(i)
+                        start = time.perf_counter()
+                        conn.request(method, path, body=body,
+                                     headers={"Content-Type": "application/json"} if body else {})
+                        response = conn.getresponse()
+                        response.read()
+                        took[kind].append(time.perf_counter() - start)
+                        assert response.status == 200, (kind, i)
+            finally:
+                conn.close()
+        medians = {kind: statistics.median(times) * 1000 for kind, times in took.items()}
+        assert all(ms < 15 for ms in medians.values()), medians
+
+    @staticmethod
+    def responses(data, methods):
+        """Split a connection's bytes into (head, body) per request, each body
+        exactly Content-Length bytes, none after a HEAD; nothing may be left."""
+        out = []
+        for method in methods:
+            end = data.index(b"\r\n\r\n") + 4
+            head, data = data[:end].decode("latin-1"), data[end:]
+            fields = dict(line.split(": ", 1) for line in head.split("\r\n")[1:-2])
+            size = 0 if method == "HEAD" else int(fields["Content-Length"])
+            out.append((head.split("\r\n")[0], fields, data[:size]))
+            data = data[size:]
+        assert data == b""
+        return out
+
+    def test_framing_on_one_connection(self, hotel10):
+        with live_server(hotel10) as service:
+            booking = json.dumps({"canonical_id": "type=imaginary|stay=99"}).encode()
+            sent = [
+                ("GET", b"GET /page/selective HTTP/1.1\r\nHost: x\r\n\r\n"),
+                ("HEAD", b"HEAD /page/type-level HTTP/1.1\r\nHost: x\r\n\r\n"),
+                ("GET", b"GET /page/full?page=2&per_page=3 HTTP/1.1\r\nHost: x\r\n\r\n"),
+                ("POST", b"POST /api/book HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n"
+                         b"Content-Type: application/json\r\n\r\n%s" % (len(booking), booking)),
+                ("GET", b"GET /nowhere HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
+            ]
+            with socket.create_connection(address(service), timeout=30) as sock:
+                for _, request in sent:
+                    sock.sendall(request)
+                data = read_until_closed(sock)
+            expected_selective = reference_page(service, "selective")
+            expected_type_level = reference_page(service, "type-level")
+        answers = self.responses(data, [method for method, _ in sent])
+        assert [status for status, _, _ in answers] == [
+            "HTTP/1.1 200 OK", "HTTP/1.1 200 OK", "HTTP/1.1 200 OK", "HTTP/1.1 200 OK",
+            "HTTP/1.1 404 Not Found"]
+        assert answers[0][2] == expected_selective
+        assert answers[1][2] == b""
+        assert int(answers[1][1]["Content-Length"]) == len(expected_type_level)
+        assert answers[2][2].count(b"application/ld+json") == 3
+        assert json.loads(answers[3][2])["status"] == "unknown_offer"
+        assert "error" in json.loads(answers[4][2])
+
+    def test_http_0_9_gets_the_body_alone(self, hotel10):
+        with live_server(hotel10) as service:
+            with socket.create_connection(address(service), timeout=30) as sock:
+                sock.sendall(b"GET /page/abstraction\r\n\r\n")
+                data = read_until_closed(sock)
+            assert data == reference_page(service, "abstraction")
 
 
 class TestBulkPageCache:
@@ -537,6 +643,49 @@ class TestStoredPages:
             assert settles_at(start)
         finally:
             gc.enable()
+
+    def test_client_hanging_up_mid_body_ends_only_its_request(self, hotel40, collected):
+        """The client resets its connection while the server is still sending
+        the page: the server reports no error and serves the next client."""
+        service = ResolverService(hotel40)
+        server = resolver.make_server(service)
+        errors = []
+        server.handle_error = lambda request, client_address: errors.append(sys.exc_info())
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            start = open_fds()
+            conn = self.connect(service, rcvbuf=64 * 1024)
+            conn.request("GET", "/page/full")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert len(response.read(64 * 1024)) == 64 * 1024
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.sock.close()  # a reset, with most of the body unsent
+            response.close()
+            assert settles_at(start + 1)  # the stored page stays
+            status, _, body = self.fetch(service, "/page/full")
+            assert status == 200 and body == self.reference_full_page(service)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert errors == []
+
+    def test_dropped_pages_close_their_files(self):
+        """A booking drops the stored page and dropping the service drops the
+        next one; each file is closed, not left to its deallocator's warning."""
+        catalog = eval_hotel_n(3)
+        booked = next(enumerate_variations(catalog)).canonical_id
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            service = ResolverService(catalog)
+            first, _ = service.page_html("full")
+            assert service.book(booked).status == "confirmed"
+            assert service.page_html("full")[0] != first
+            del service
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_unpublishable_build_leaves_no_file(self, collected):
         catalog = eval_hotel_n(3)
