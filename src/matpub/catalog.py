@@ -223,11 +223,11 @@ def count_variations(catalog: ProductCatalog) -> int:
 
 def enumerate_variations(catalog: ProductCatalog,
                          fixed: Optional[Dict[str, Value]] = None,
-                         limit: Optional[int] = None, start: int = 0) -> Iterator[Variation]:
+                         limit: Optional[int] = None) -> Iterator[Variation]:
     """Yield the variations consistent with the partial assignment `fixed`
     (all of them without it), never touching the rest of the space, in
     lexicographic order of declared dimension and value order: at most
-    `limit`, after skipping `start` before any is built. Streaming."""
+    `limit`. Streaming."""
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
     fixed = fixed or {}
@@ -237,10 +237,7 @@ def enumerate_variations(catalog: ProductCatalog,
     # lockstep, so building an id only joins.
     parts = [(_id_part(d.name, fixed[d.name]),) if d.name in fixed else d.id_parts
              for d in catalog.dimensions]
-    # Each product skips on its own, reusing one tuple; a zip would allocate.
-    stop = None if limit is None else start + limit
-    combos = zip(itertools.islice(itertools.product(*pools), start, stop),
-                 itertools.islice(itertools.product(*parts), start, stop))
+    combos = itertools.islice(zip(itertools.product(*pools), itertools.product(*parts)), limit)
     return (Variation(dict(zip(names, combo)), "|".join(encoded))
             for combo, encoded in combos)
 

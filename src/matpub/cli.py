@@ -16,7 +16,14 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .annotate import annotation_stream, render_page_stream
-from .catalog import CatalogError, Inventory, ProductCatalog, load_catalog, parse_value
+from .catalog import (
+    CatalogError,
+    Inventory,
+    ProductCatalog,
+    load_catalog,
+    parse_integer,
+    parse_value,
+)
 from .heuristics import (
     HEURISTIC_NAMES,
     ClassificationMode,
@@ -63,20 +70,30 @@ class Config:
         return self._catalog
 
 
+def _integer(value) -> int:
+    """A config integer: a JSON integer (not a bool), or a string of digits
+    as `parse_integer` spells one. Anything else is a ValueError."""
+    if isinstance(value, str):
+        return parse_integer(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def _policies_from_dict(doc: dict) -> HeuristicPolicies:
     cls_doc = doc.get("policies", {}).get("classification", {})
     classification = ClassificationPolicy(
         mode=ClassificationMode(cls_doc.get("mode", "threshold")),
-        length_threshold=int(cls_doc.get("length_threshold", 5)),
-        byte_budget=int(cls_doc.get("byte_budget", 50_000)),
-        est_item_bytes=int(cls_doc.get("est_item_bytes", 600)),
+        length_threshold=_integer(cls_doc.get("length_threshold", 5)),
+        byte_budget=_integer(cls_doc.get("byte_budget", 50_000)),
+        est_item_bytes=_integer(cls_doc.get("est_item_bytes", 600)),
     )
     picker_doc = doc.get("policies", {}).get("picker", {})
     return HeuristicPolicies(
         classification=classification,
         picker=PickerPolicy(picker_doc.get("mode", "first-lexicographic")),
-        picker_seed=int(picker_doc.get("seed", 0)),
-        hard_cap=int(doc.get("hard_cap", 10 ** 6)),
+        picker_seed=_integer(picker_doc.get("seed", 0)),
+        hard_cap=_integer(doc.get("hard_cap", 10 ** 6)),
     )
 
 
@@ -99,10 +116,10 @@ def load_config(path: str) -> Config:
         config = Config(
             catalog_path=catalog_path,
             host=os.environ.get("MATPUB_HOST", server.get("host", "127.0.0.1")),
-            port=int(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
+            port=_integer(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
             policies=_policies_from_dict(doc),
-            bench_n_values=[int(n) for n in bench.get("n_values", [1, 183, 365])],
-            bench_repetitions=int(bench.get("repetitions", 3)),
+            bench_n_values=[_integer(n) for n in bench.get("n_values", [1, 183, 365])],
+            bench_repetitions=_integer(bench.get("repetitions", 3)),
             bench_output_path=bench.get("output_path", "bench.csv"),
             bench_flexible_dimension=bench.get("flexible_dimension", "arrival"),
             bench_heuristics=list(bench.get("heuristics", HEURISTIC_NAMES)),
@@ -197,7 +214,7 @@ def cmd_crawl(config: Config, page_url: str, query: Sequence[str], book: bool,
               experiment: Optional[int], seed: int) -> int:
     # The HTTP client stack is imported here, not at module level, so that
     # `serve` and `generate` never load it.
-    from .consumer import Client, TransportError, hit_ratio_experiment
+    from .consumer import TransportError, hit_ratio_experiment, resolve
 
     catalog = config.catalog()
     try:
@@ -210,7 +227,7 @@ def cmd_crawl(config: Config, page_url: str, query: Sequence[str], book: bool,
             missing = set(catalog.dimension_names) - set(desired)
             if missing:
                 raise ConfigError(f"query must assign every dimension; missing {sorted(missing)}")
-            trace = Client().resolve(page_url, desired, book=book)
+            trace = resolve(page_url, desired, book=book)
             print(json.dumps(trace.to_dict(), sort_keys=True))
     except TransportError as exc:
         _log(str(exc))

@@ -278,7 +278,11 @@ class Client:
 
 
 def resolve(page_url: str, desired: Dict[str, Value], book: bool = False) -> ResolutionTrace:
-    return Client().resolve(page_url, desired, book=book)
+    client = Client()
+    try:
+        return client.resolve(page_url, desired, book=book)
+    finally:
+        client.close()
 
 
 def hit_ratio_experiment(page_url: str, catalog: ProductCatalog, n_queries: int,

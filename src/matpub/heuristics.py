@@ -23,7 +23,6 @@ from .catalog import (
     count_variations,
     enumerate_variations,
     price,
-    price_bounds,
 )
 
 DEFAULT_HARD_CAP = 10 ** 6
@@ -62,7 +61,7 @@ class PublicationItem:
     price_range: Optional[Tuple[Decimal, Decimal]]
     available: bool
     requires_elevation: bool
-    # A concrete item's canonical id, which is its fixed-set id, when known.
+    # The fixed-set id, joined when the item is built; a concrete item's canonical id.
     canonical_id: Optional[str] = field(default=None, compare=False, repr=False)
 
     def fixed_set_id(self) -> str:
@@ -95,36 +94,17 @@ def any_available(catalog: ProductCatalog, inventory: Inventory,
     return next(available_variations(catalog, inventory, fixed), None) is not None
 
 
-def _concrete_item(inventory: Inventory, v: Variation, exact_price: Decimal,
-                   requires_elevation: bool) -> PublicationItem:
+def _concrete_item(inventory: Inventory, fixed: Dict[str, Value], canonical_id: str,
+                   exact_price: Decimal, requires_elevation: bool) -> PublicationItem:
     return PublicationItem(
         kind=ItemKind.CONCRETE,
-        fixed=v.assignments,
+        fixed=fixed,
         ranges={},
         exact_price=exact_price,
         price_range=None,
-        available=inventory.is_available(v.canonical_id),
+        available=inventory.is_available(canonical_id),
         requires_elevation=requires_elevation,
-        canonical_id=v.canonical_id,
-    )
-
-
-def _fixed_set_item(catalog: ProductCatalog, inventory: Inventory,
-                    fixed: Dict[str, Value]) -> PublicationItem:
-    """The elevated item for a partial assignment: the dimensions it leaves
-    open are published as ranges, and a set that fixes every dimension is a
-    concrete item."""
-    if len(fixed) == len(catalog.dimensions):
-        v = catalog.variation(fixed)
-        return _concrete_item(inventory, v, price(catalog, v), requires_elevation=True)
-    return PublicationItem(
-        kind=ItemKind.PARTIAL if fixed else ItemKind.ABSTRACT,
-        fixed=fixed,
-        ranges={d.name: d.summary for d in catalog.dimensions if d.name not in fixed},
-        exact_price=None,
-        price_range=price_bounds(catalog, fixed),
-        available=any_available(catalog, inventory, fixed),
-        requires_elevation=True,
+        canonical_id=canonical_id,
     )
 
 
@@ -141,17 +121,9 @@ def iter_full_materialization(catalog: ProductCatalog,
                               hard_cap: int = DEFAULT_HARD_CAP, start: int = 0,
                               stop: Optional[int] = None) -> Iterator[PublicationItem]:
     """Streaming full materialization: one concrete item per variation from
-    `start` up to `stop`. The prices run through a product of the price table's
-    deltas in lockstep with the enumeration, added in the order `price` does."""
-    full_count(catalog, hard_cap)
-    inv = _snapshot(catalog, inventory)
-    base = catalog.pricing.base_price
-    deltas = itertools.product(*(deltas.values() for _, deltas, _, _ in catalog.price_table))
-    limit = None if stop is None else max(0, stop - start)
-    for v, ds in zip(enumerate_variations(catalog, limit=limit, start=start),
-                     itertools.islice(deltas, start, None)):
-        yield _concrete_item(inv, v, sum(ds, base).quantize(TWO_PLACES),
-                             requires_elevation=False)
+    `start` up to `stop`."""
+    return _fixed_set_items(catalog, inventory, _dimension_groups(catalog, "full", hard_cap=hard_cap),
+                            start, stop, elevated=False)
 
 
 def full_materialization(catalog: ProductCatalog,
@@ -162,22 +134,56 @@ def full_materialization(catalog: ProductCatalog,
 
 def _fixed_set_items(catalog: ProductCatalog, inventory: Optional[Inventory],
                      groups: List[Tuple[DimensionDef, ...]], start: int = 0,
-                     stop: Optional[int] = None) -> Iterator[PublicationItem]:
-    """The elevated items from `start` up to `stop` of the fixed sets that
-    `groups` spans, group after group; a skipped fixed set is never built."""
+                     stop: Optional[int] = None, elevated: bool = True
+                     ) -> Iterator[PublicationItem]:
+    """The items from `start` up to `stop` of the fixed sets that `groups`
+    spans, group after group; a skipped fixed set is never built. A group of
+    every dimension gives concrete items (elevated if `elevated`), any other
+    elevated items with the open dimensions as ranges. Values, id parts and
+    price deltas run through three products in lockstep, each skipping on
+    its own: skipping their zip would allocate a tuple per fixed set."""
     inv = _snapshot(catalog, inventory)
-    combos = ((group, combo) for group in groups
-              for combo in itertools.product(*(d.values for d in group)))
-    for group, combo in itertools.islice(combos, start, stop):
-        yield _fixed_set_item(catalog, inv, {d.name: v for d, v in zip(group, combo)})
+    for group in groups:
+        size = math.prod(len(d.values) for d in group)
+        first, last = min(start, size), size if stop is None else min(stop, size)
+        start, stop = start - first, None if stop is None else stop - last
+        names = [d.name for d in group]
+        lo = hi = catalog.pricing.base_price  # plus the open dimensions' extreme deltas
+        for name, _, low, high in catalog.price_table:
+            if name not in names:
+                lo, hi = lo + low, hi + high
+        pools = ([d.values for d in group], [d.id_parts for d in group],
+                 [deltas.values() for name, deltas, _, _ in catalog.price_table if name in names])
+        for combo, parts, deltas in zip(*(itertools.islice(itertools.product(*pool), first, last)
+                                          for pool in pools)):
+            fixed, fixed_id = dict(zip(names, combo)), "|".join(parts)
+            if len(group) == len(catalog.dimensions):
+                yield _concrete_item(inv, fixed, fixed_id, sum(deltas, lo).quantize(TWO_PLACES),
+                                     elevated)
+            else:
+                yield PublicationItem(
+                    kind=ItemKind.PARTIAL if fixed else ItemKind.ABSTRACT,
+                    fixed=fixed,
+                    ranges={d.name: d.summary for d in catalog.dimensions if d.name not in fixed},
+                    exact_price=None,
+                    price_range=(sum(deltas, lo).quantize(TWO_PLACES),
+                                 sum(deltas, hi).quantize(TWO_PLACES)),
+                    available=any_available(catalog, inv, fixed),
+                    requires_elevation=True,
+                    canonical_id=fixed_id,
+                )
 
 
 def _dimension_groups(catalog: ProductCatalog, heuristic: str,
-                      classification: Optional[DimensionClassification] = None
-                      ) -> List[Tuple[DimensionDef, ...]]:
-    """An elevated heuristic's dimension groups, in page order: its fixed sets
-    are the value product of each group, whose dimensions keep their declared
-    order. Selective's one group is the short side of `classification`."""
+                      classification: Optional[DimensionClassification] = None,
+                      hard_cap: int = DEFAULT_HARD_CAP) -> List[Tuple[DimensionDef, ...]]:
+    """A heuristic's dimension groups, in page order: its fixed sets are the
+    value product of each group, whose dimensions keep their declared order.
+    `full`'s one group is every dimension, refused above `hard_cap`;
+    selective's is the short side of `classification`."""
+    if heuristic == "full":
+        full_count(catalog, hard_cap)
+        return [tuple(catalog.dimensions)]
     if heuristic == "abstraction":
         return [()]
     if heuristic == "type-level":
@@ -220,7 +226,8 @@ def specialization(catalog: ProductCatalog,
         raise HeuristicError(f"unknown picker policy {picker!r}")
     if chosen is None:
         raise NoAvailableVariation("no available variation in inventory")
-    return [_concrete_item(inv, chosen, price(catalog, chosen), requires_elevation=True)]
+    return [_concrete_item(inv, chosen.assignments, chosen.canonical_id, price(catalog, chosen),
+                           requires_elevation=True)]
 
 
 def type_level_materialization(catalog: ProductCatalog,
@@ -314,14 +321,12 @@ def publication_items(catalog: ProductCatalog, heuristic: str,
                       start: int = 0, stop: Optional[int] = None) -> Iterator[PublicationItem]:
     """Dispatch by heuristic name: its items from `start` up to `stop`, building no other."""
     policies = policies or HeuristicPolicies()
-    if heuristic == "full":
-        return iter_full_materialization(catalog, inventory, policies.hard_cap, start, stop)
     if heuristic == "specialization":
         items = specialization(catalog, inventory, policies.picker, policies.picker_seed)
         return iter(items[start:stop])
-    classification = classify_dimensions(catalog, policies.classification)
-    return _fixed_set_items(catalog, inventory,
-                            _dimension_groups(catalog, heuristic, classification), start, stop)
+    groups = _dimension_groups(catalog, heuristic, classify_dimensions(
+        catalog, policies.classification), policies.hard_cap)
+    return _fixed_set_items(catalog, inventory, groups, start, stop, elevated=heuristic != "full")
 
 
 def expected_count(catalog: ProductCatalog, heuristic: str,
@@ -329,10 +334,8 @@ def expected_count(catalog: ProductCatalog, heuristic: str,
     """Closed-form item count per heuristic; no enumeration. A `full` over its
     cap is refused, as its items are, so `list()` of a stream raises that."""
     policies = policies or HeuristicPolicies()
-    if heuristic == "full":
-        return full_count(catalog, policies.hard_cap)
     if heuristic == "specialization":
         return 1
-    classification = classify_dimensions(catalog, policies.classification)
-    groups = _dimension_groups(catalog, heuristic, classification)
+    groups = _dimension_groups(catalog, heuristic, classify_dimensions(
+        catalog, policies.classification), policies.hard_cap)
     return sum(math.prod(len(d.values) for d in group) for group in groups)

@@ -346,12 +346,14 @@ class ResolverHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
-        if not 0 <= length <= MAX_BODY_BYTES:
+        refusal = ((411, "a request body needs Content-Length, not Transfer-Encoding")
+                   if "Transfer-Encoding" in self.headers else
+                   (400, "Content-Length must be a non-negative integer") if length < 0 else
+                   (413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+                   if length > MAX_BODY_BYTES else None)
+        if refusal is not None:
             self.close_connection = True  # the body stays unread
-            status, message = ((400, "Content-Length must be a non-negative integer")
-                               if length < 0 else
-                               (413, f"request body exceeds {MAX_BODY_BYTES} bytes"))
-            self._error(status, message, self.service.epoch)
+            self._error(*refusal, self.service.epoch)
             return
         try:
             body = json.loads(self.rfile.read(length) or b"{}")

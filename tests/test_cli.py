@@ -94,6 +94,14 @@ class TestLoadConfig:
         ({"policies": []}, {}),
         ({"server": "x"}, {}),
         ({"policies": {"classification": [1]}}, {}),
+        ({"server": {"port": True}}, {}),
+        ({"server": {"port": 8321.9}}, {}),
+        ({"hard_cap": True}, {}),
+        ({"hard_cap": 1e6}, {}),
+        ({"policies": {"picker": {"seed": 1.5}}}, {}),
+        ({"bench": {"n_values": [False]}}, {}),
+        ({}, {"MATPUB_PORT": " 8321"}),
+        ({}, {"MATPUB_PORT": "+8321"}),
     ])
     def test_malformed_value_is_exit_1(self, workdir, monkeypatch, capsys, overrides, env):
         for name, value in env.items():

@@ -269,6 +269,10 @@ class TestHitRatioExperiment:
                 assert all(s.closed for s in sessions)
                 assert (result["hit_ratio"], result["booked"],
                         result["mean_api_calls"]) == (20 / 30, 20, 50 / 30)
+            sessions.clear()
+            desired = first_variation(catalog).assignments
+            assert resolve(page_url(service, "full"), desired).outcome == "found_not_booked"
+            assert len(sessions) == 1 and sessions[0].closed
 
     def test_rejects_zero_queries(self, server, hotel10):
         with pytest.raises(ValueError):

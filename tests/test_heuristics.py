@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matpub.catalog import (
     Inventory,
@@ -14,6 +15,7 @@ from matpub.heuristics import (
     ClassificationMode,
     ClassificationPolicy,
     DimensionClassification,
+    HeuristicPolicies,
     ItemKind,
     MaterializationCapExceeded,
     NoAvailableVariation,
@@ -32,6 +34,7 @@ from conftest import (
     catalog_strategy,
     eval_hotel_n,
     make_catalog,
+    oracle_price,
     oracle_price_bounds,
     oracle_variations,
 )
@@ -305,6 +308,37 @@ def test_price_ranges_equal_brute_force(catalog):
     for item in items:
         if item.price_range is not None:
             assert item.price_range == oracle_price_bounds(catalog, item.fixed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(catalog_strategy(max_dims=4, max_len=5), st.data())
+def test_items_equal_brute_force_after_bookings(catalog, data):
+    """Every item of full, abstraction, type-level and selective after a few
+    bookings: it is available exactly when a consistent variation is, a
+    concrete item has the brute-force price, its id joins its fixed set, and
+    any range of its heuristic is that slice of the whole list."""
+    names = [d.name for d in catalog.dimensions]
+    variations = oracle_variations(catalog)
+    inventory = snapshot_of(catalog)
+    for a in data.draw(st.lists(st.sampled_from(variations), max_size=3)):
+        inventory = inventory.book(canonical_id_for(names, a)) or inventory
+    offered = [(a, inventory.is_available(canonical_id_for(names, a))) for a in variations]
+    policies = HeuristicPolicies(classification=ClassificationPolicy(length_threshold=3))
+    for heuristic in ("full", "abstraction", "type-level", "selective"):
+        items = list(publication_items(catalog, heuristic, inventory, policies))
+        for item in items:
+            assert item.available == any(ok for a, ok in offered if consistent(item, a))
+            if item.kind is ItemKind.CONCRETE:
+                assert item.exact_price == oracle_price(catalog, item.fixed)
+            assert item.fixed_set_id() == canonical_id_for(list(item.fixed), item.fixed)
+        start, stop = (data.draw(st.integers(0, len(items) + 1)) for _ in range(2))
+        bounds = [(start, stop), (start, None)]
+        if heuristic == "type-level":  # each range across a boundary between groups
+            bounds += [(edge - 1, edge + 1) for edge in
+                       itertools.accumulate(len(d.values) for d in catalog.dimensions)]
+        for lo, hi in bounds:
+            assert list(publication_items(catalog, heuristic, inventory, policies,
+                                          start=lo, stop=hi)) == items[lo:hi]
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,6 +19,7 @@ from urllib.parse import urlencode
 import pytest
 import requests
 
+import matpub.catalog
 import reference_annotate as reference
 from matpub import heuristics, resolver
 from matpub.annotate import PageNotFound
@@ -289,6 +290,23 @@ class TestOneSend:
         assert json.loads(answers[3][2])["status"] == "unknown_offer"
         assert "error" in json.loads(answers[4][2])
 
+    def test_chunked_post_is_411_and_closes(self, hotel10):
+        """A body sent without Content-Length is refused unread with one JSON
+        answer, and the connection closes: no chunk is read as a request."""
+        booking = json.dumps({"canonical_id": next(enumerate_variations(hotel10)).canonical_id})
+        with live_server(hotel10) as service:
+            with socket.create_connection(address(service), timeout=30) as sock:
+                sock.sendall(b"POST /api/book HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n"
+                             b"Content-Type: application/json\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+                             % (len(booking), booking.encode()))
+                data = read_until_closed(sock)
+            epoch = service.epoch
+        [(status, fields, body)] = self.responses(data, ["POST"])
+        assert status == "HTTP/1.1 411 Length Required"
+        assert fields["Content-Type"].startswith("application/json")
+        assert "Content-Length" in json.loads(body)["error"]
+        assert epoch == 0
+
     def test_http_0_9_gets_the_body_alone(self, hotel10):
         with live_server(hotel10) as service:
             with socket.create_connection(address(service), timeout=30) as sock:
@@ -349,9 +367,9 @@ class TestBulkPageCache:
         assert builds == ["full", "full"]
 
     def test_paginated_page_builds_only_its_items(self, service, monkeypatch):
-        """The last page of `full` builds its own 10 items and variations,
-        not the 710 before them."""
-        built = {}
+        """The last page of `full` builds its own 10 items and checks their
+        availability only, not the 710 before them."""
+        built = {"availability_score": 0}
 
         def count_yields(name):
             original, built[name] = getattr(heuristics, name), 0
@@ -362,10 +380,16 @@ class TestBulkPageCache:
                     yield value
             monkeypatch.setattr(heuristics, name, counting)
 
+        score = matpub.catalog.availability_score
+
+        def counting_score(*args):
+            built["availability_score"] += 1
+            return score(*args)
+
         count_yields("publication_items")
-        count_yields("enumerate_variations")
+        monkeypatch.setattr(matpub.catalog, "availability_score", counting_score)
         body, _ = service.page_html("full", page=72, per_page=10)
-        assert built == {"publication_items": 10, "enumerate_variations": 10}
+        assert built == {"publication_items": 10, "availability_score": 10}
         annotated = reference.annotations(service.catalog, "full", service.snapshot(),
                                           service.policies, service.endpoint_base)
         assert body == reference.page(service.catalog, annotated, 72, 10)
