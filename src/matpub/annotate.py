@@ -1,16 +1,16 @@
 """JSON-LD serialization of publication items, the elevation step (attaching a
-SearchAction service description), annotated HTML page rendering, and the
-content-conformity checker."""
+SearchAction service description), annotated HTML page rendering, the page
+scanner that reads a page's blocks back, and the content-conformity checker."""
 from __future__ import annotations
 
 import hashlib
 import html
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
-from html.parser import HTMLParser
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import heuristics
@@ -366,34 +366,188 @@ class ConformityReport:
     orphans: List[Tuple[str, str]] = field(default_factory=list)
 
 
-class JsonLdScanner(HTMLParser):
+# The scanner tokenizes a page by the rules of `html.parser.HTMLParser` (as
+# of Python 3.11), but stops only at the tokens that can open a script or
+# style element or name a product element. The regex engine skips the rest:
+# an end tag with no "<" before its ">", a start tag with a plain name other
+# than script or style whose attributes are all double-quoted, free of "<",
+# ">" and "&", and never contain "product", and a "<" of text. None of these
+# holds a "<", so no token the scanner must see starts inside a skipped one.
+_SKIPPED_TOKEN = (
+    r"/[^<>]*>"
+    r"|(?![sS][cC][rR][iI][pP][tT][\t\n\r\f >]|[sS][tT][yY][lL][eE][\t\n\r\f >])"
+    r"[a-zA-Z][a-zA-Z0-9]*"
+    r'(?:[\t\n\r\f ]+[a-zA-Z][-a-zA-Z]*="(?:[^"<>&p]|p(?!roduct))*")*[\t\n\r\f ]*>'
+    r"|[^a-zA-Z/!?]"
+)
+# The next token to look at. A start tag whose attributes are all
+# double-quoted is read in the same match (name and attributes in groups 1
+# and 2): HTMLParser reads each such attribute as written, with its character
+# references decoded.
+_NEXT_TOKEN = re.compile(
+    rf"<(?!{_SKIPPED_TOKEN})"
+    r'(?:([a-zA-Z][a-zA-Z0-9]*)((?:[\t\n\r\f ]+[a-zA-Z][-a-zA-Z]*="[^"]*")*)[\t\n\r\f ]*>)?')
+_PLAIN_ATTRIBUTE = re.compile(r'([a-zA-Z][-a-zA-Z]*)="([^"]*)"')
+# HTMLParser's own patterns for every other start tag.
+_START_TAG_END = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*
+  (?:[\s/]*
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*
+      (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?
+      (?:\s|/(?!>))*
+     )*
+   )?
+  \s*
+""", re.VERBOSE)
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRIBUTE = re.compile(
+    r"((?<=['\"\s/])[^\s/>][^\s/=>]*)(?:\s*=+\s*"
+    r"('[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*))?(?:\s|/(?!>))*")
+_COMMENT_END = re.compile(r"--\s*>")
+_DECLARATION_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+_MARKED_SECTION_END = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"),
+                    re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
+# Script and style text runs to the element's end tag, unparsed.
+_RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in ("script", "style")}
+
+
+class PageScanner:
     """Finds a page's `application/ld+json` blocks and the ids of its visible
-    product elements, in document order. The page may be fed in pieces. Each
-    block's text goes to `on_block` as its script element closes, and each
-    element id to `on_element`; no block is kept after it is handed over."""
+    product elements (an element whose class list holds `product`), in
+    document order, as `html.parser.HTMLParser` tokenizes the page. The page
+    may be fed in pieces: an unfinished tag or script waits for the next
+    piece. Each block's text goes to `on_block` as its script element closes,
+    undecoded, and each element id, decoded, to `on_element`; a script that
+    never closes is no block. Where HTMLParser gives up on a malformed
+    marked section (`<![...`), the scanner reads it as a comment up to the
+    next ">"."""
 
     def __init__(self, on_block: Callable[[str], object],
                  on_element: Callable[[str], object] = lambda element_id: None):
-        super().__init__(convert_charrefs=True)
         self._on_block = on_block
         self._on_element = on_element
-        self._block: Optional[List[str]] = None  # text of the open block
+        self._pending = ""  # the unscanned end of what was fed
+        self._raw_text_end = None  # end-tag pattern of the open script or style
+        self._in_block = False  # whether the open script is a JSON-LD block
 
-    def handle_starttag(self, tag, attrs):
-        attrs = dict(attrs)
+    def feed(self, text: str):
+        self._pending = self._scan(self._pending + text, end=False)
+
+    def close(self):
+        self._pending = self._scan(self._pending, end=True)
+
+    def _scan(self, text: str, end: bool) -> str:
+        """Scan `text` as far as it goes; returns the unfinished rest."""
+        i, n = 0, len(text)
+        while i < n:
+            if self._raw_text_end is not None:
+                match = self._raw_text_end.search(text, i)
+                if match is None:
+                    break
+                if self._in_block:
+                    self._on_block(text[i:match.start()])
+                self._raw_text_end, self._in_block = None, False
+                i = match.end()
+                continue
+            match = _NEXT_TOKEN.search(text, i)
+            if match is None:
+                return ""
+            tag = match.group(1)
+            if tag is not None:
+                attrs = {}
+                for name, value in _PLAIN_ATTRIBUTE.findall(match.group(2)):
+                    attrs[name.lower()] = html.unescape(value) if "&" in value else value
+                self._start(tag.lower(), attrs, self_closing=False)
+                i = match.end()
+                continue
+            i = match.start()
+            k = self._token(text, i)
+            if k < 0:
+                if not end:
+                    break
+                # At the end of the page HTMLParser reads an unfinished token
+                # as text up to the next ">". With no ">" left, no tag follows.
+                k = text.find(">", i + 1) + 1
+                if k == 0:
+                    return ""
+            i = k
+        return text[i:]
+
+    def _token(self, text: str, i: int) -> int:
+        """The end of the token that starts with the "<" at `i`, or -1 if the
+        text ends first."""
+        c = text[i + 1:i + 2]
+        if c.isascii() and c.isalpha():
+            return self._start_tag(text, i)
+        if c == "/":  # an end tag; outside script and style it changes nothing
+            k = text.find(">", i + 1)
+        elif text.startswith("<!--", i):
+            match = _COMMENT_END.search(text, i + 4)
+            return match.end() if match else -1
+        elif c == "?":
+            k = text.find(">", i + 2)
+        elif text.startswith("<![", i):
+            return self._marked_section(text, i)
+        elif c == "!":  # a declaration, or a comment HTMLParser calls bogus
+            k = text.find(">", i + 2)
+        else:  # a "<" of text
+            return i + 1 if i + 1 < len(text) else -1
+        return k + 1 if k >= 0 else -1
+
+    def _marked_section(self, text: str, i: int) -> int:
+        name = _DECLARATION_NAME.match(text, i + 3)
+        if i + 3 == len(text) or (name and name.end() == len(text)):
+            return -1
+        close = name and _MARKED_SECTION_END.get(name.group().strip().lower())
+        if close is None:
+            k = text.find(">", i + 2)
+            return k + 1 if k >= 0 else -1
+        match = close.search(text, i + 3)
+        return match.end() if match else -1
+
+    def _start_tag(self, text: str, i: int) -> int:
+        """HTMLParser's `check_for_whole_start_tag` and `parse_starttag`."""
+        j = _START_TAG_END.match(text, i).end()
+        following = text[j:j + 1]
+        if following == ">":
+            end = j + 1
+        elif text.startswith("/>", j):
+            end = j + 2
+        elif following in ("", "/", "=") or (following.isascii() and following.isalpha()):
+            return -1
+        else:
+            end = j
+        name = _TAG_NAME.match(text, i + 1)
+        k = name.end()
+        attrs = {}
+        while k < end:
+            match = _ATTRIBUTE.match(text, k)
+            if not match:
+                break
+            attr, value = match.groups()
+            if value and value[0] in "'\"":  # only a quoted value starts with a quote
+                value = value[1:-1]
+            if value:
+                value = html.unescape(value)
+            attrs[attr.lower()] = value
+            k = match.end()
+        closing = text[k:end].strip()
+        if closing in (">", "/>"):  # otherwise the whole tag is text
+            self._start(name.group(1).lower(), attrs, self_closing=closing == "/>")
+        return end
+
+    def _start(self, tag: str, attrs: dict, self_closing: bool):
         if tag == "script" and attrs.get("type") == "application/ld+json":
-            self._block = []
+            if self_closing:
+                self._on_block("")
+            self._in_block = not self_closing
         elif "product" in (attrs.get("class") or "").split() and attrs.get("id"):
             self._on_element(attrs["id"])
-
-    def handle_data(self, data):
-        if self._block is not None:
-            self._block.append(data)
-
-    def handle_endtag(self, tag):
-        if tag == "script" and self._block is not None:
-            text, self._block = "".join(self._block), None
-            self._on_block(text)
+        if not self_closing and tag in _RAW_TEXT_END:
+            self._raw_text_end = _RAW_TEXT_END[tag]
 
 
 class ConformityScanner:
@@ -404,7 +558,7 @@ class ConformityScanner:
         self.annotation_anchors: List[str] = []
         self.element_ids: List[str] = []
         self.malformed: int = 0
-        scanner = JsonLdScanner(self._block, self.element_ids.append)
+        scanner = PageScanner(self._block, self.element_ids.append)
         self.feed, self.close = scanner.feed, scanner.close
 
     def _block(self, raw: str):

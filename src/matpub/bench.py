@@ -5,13 +5,13 @@ Emits RFC-4180 CSV."""
 from __future__ import annotations
 
 import csv
+import http.client
 import statistics
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import requests
+from urllib.parse import urlsplit
 
 from .annotate import ConformityScanner, annotation_stream, render_page_stream
 from .catalog import Inventory, ProductCatalog, count_variations, resize_dimension
@@ -103,11 +103,21 @@ def _publish_pass(catalog: ProductCatalog, heuristic: str,
 
 
 def _serve_once(url: str) -> float:
+    """Seconds to GET `url` on a new connection and read its body through.
+    A connection failure raises OSError or HTTPException; an error status
+    raises HTTPException."""
+    parts = urlsplit(url)
     start = time.perf_counter()
-    with requests.get(url, stream=True, timeout=300) as response:
-        response.raise_for_status()
-        for _ in response.iter_content(chunk_size=1 << 16):
+    connection = http.client.HTTPConnection(parts.netloc, timeout=300)
+    try:
+        connection.request("GET", parts.path)
+        response = connection.getresponse()
+        if not 200 <= response.status < 300:
+            raise http.client.HTTPException(f"GET {url} answered HTTP {response.status}")
+        while response.read(1 << 16):
             pass
+    finally:
+        connection.close()
     return time.perf_counter() - start
 
 
@@ -211,7 +221,7 @@ def _bench_one(catalog_n: ProductCatalog, n: int, heuristic: str,
                     record.serve_time_ms = mean
                     record.serve_time_min_ms = lo
                     record.serve_time_max_ms = hi
-                except requests.RequestException as exc:
+                except (OSError, http.client.HTTPException) as exc:
                     warnings.append(f"{heuristic} n={n}: serve failed ({exc}); "
                                     "serve_time null")
             else:

@@ -80,6 +80,13 @@ def _integer(value) -> int:
     return value
 
 
+def _string(value) -> str:
+    """A config string: a JSON string. Anything else is a ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"not a string: {value!r}")
+    return value
+
+
 def _policies_from_dict(doc: dict) -> HeuristicPolicies:
     cls_doc = doc.get("policies", {}).get("classification", {})
     classification = ClassificationPolicy(
@@ -115,13 +122,13 @@ def load_config(path: str) -> Config:
         bench = doc.get("bench", {})
         config = Config(
             catalog_path=catalog_path,
-            host=os.environ.get("MATPUB_HOST", server.get("host", "127.0.0.1")),
+            host=_string(os.environ.get("MATPUB_HOST", server.get("host", "127.0.0.1"))),
             port=_integer(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
             policies=_policies_from_dict(doc),
             bench_n_values=[_integer(n) for n in bench.get("n_values", [1, 183, 365])],
             bench_repetitions=_integer(bench.get("repetitions", 3)),
-            bench_output_path=bench.get("output_path", "bench.csv"),
-            bench_flexible_dimension=bench.get("flexible_dimension", "arrival"),
+            bench_output_path=_string(bench.get("output_path", "bench.csv")),
+            bench_flexible_dimension=_string(bench.get("flexible_dimension", "arrival")),
             bench_heuristics=list(bench.get("heuristics", HEURISTIC_NAMES)),
         )
     except (ValueError, TypeError, AttributeError) as exc:  # HeuristicError too

@@ -3,6 +3,7 @@ follows embedded search actions, and resolves a desired variation to a concrete
 bookable offer, recording every round trip."""
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import time
@@ -10,15 +11,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import urlencode, urlparse
+from urllib.parse import urlencode, urlparse, urlsplit
 
-import requests
-
-from .annotate import JsonLdScanner
+from .annotate import PageScanner
 from .catalog import ProductCatalog, Value
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 0.1
+TIMEOUT_S = 30
 _TEMPLATE_QUERY = re.compile(r"\{\?([^}]*)\}")
 
 
@@ -42,6 +42,10 @@ class ParsedAnnotation:
     currency: Optional[str]
     available: bool
     action: Optional[ParsedAction]
+    # The fixed values a query must match to follow the action: a dimension
+    # named as an action input is searchable even if the annotation also
+    # fixes it (sibling search on concrete items).
+    required: Dict[str, Value]
 
 
 @dataclass
@@ -108,60 +112,121 @@ def _parse_block(doc: dict) -> Optional[ParsedAnnotation]:
         match = _TEMPLATE_QUERY.search(template)
         ordered = match.group(1).split(",") if match and match.group(1) else inputs
         action = ParsedAction(template, ordered)
+        required = {k: v for k, v in fixed.items() if k not in action.input_names}
+    else:
+        required = fixed
     return ParsedAnnotation(
         anchor_id=str(doc.get("@id", "")).lstrip("#"),
         fixed=fixed, ranges=ranges, price=price, price_range=price_range,
-        currency=currency, available=available, action=action,
+        currency=currency, available=available, action=action, required=required,
     )
 
 
 def extract_annotations(page: bytes) -> Tuple[List[ParsedAnnotation], List[str]]:
     """Parse every JSON-LD product block on the page. Malformed blocks are
     skipped with a warning record; unrelated blocks are ignored."""
-    blocks: List[str] = []
-    scanner = JsonLdScanner(blocks.append)
-    scanner.feed(page.decode("utf-8"))
-    scanner.close()
     parsed: List[ParsedAnnotation] = []
     warnings: List[str] = []
-    for i, raw in enumerate(blocks):
+    blocks = 0
+
+    def block(raw: str):
+        nonlocal blocks
+        blocks += 1
         try:
             doc = json.loads(raw)
         except (ValueError, RecursionError) as exc:
-            warnings.append(f"block {i}: malformed JSON-LD ({exc})")
-            continue
+            warnings.append(f"block {blocks - 1}: malformed JSON-LD ({exc})")
+            return
         annotation = _parse_block(doc) if isinstance(doc, dict) else None
         if annotation is not None:
             parsed.append(annotation)
+
+    scanner = PageScanner(block)
+    scanner.feed(page.decode("utf-8"))
+    scanner.close()
     return parsed, warnings
 
 
 # ---------------------------------------------------------------------------
 # HTTP with bounded retries (connection failures only; empty results are signal)
 
-def _request_with_retry(session: requests.Session, method: str, url: str, **kwargs):
+class Session:
+    """One HTTP/1.1 connection, opened on first use and kept alive across
+    requests to the same server. A response that ends the connection
+    (`will_close`), a request to another server and a failed request each
+    drop it, and the next request opens a new one. Not thread-safe: one
+    session serves one thread at a time."""
+
+    def __init__(self):
+        self._connection: Optional[http.client.HTTPConnection] = None
+        self._origin: Optional[Tuple[str, str]] = None
+
+    def request(self, method: str, url: str, body: Optional[bytes] = None,
+                headers: Optional[Dict[str, str]] = None) -> Tuple[int, bytes]:
+        """Send one request and read the whole answer: (status, body)."""
+        parts = urlsplit(url)
+        origin = (parts.scheme, parts.netloc)
+        if self._connection is None or origin != self._origin:
+            self.close()
+            factory = (http.client.HTTPSConnection if parts.scheme == "https"
+                       else http.client.HTTPConnection)
+            self._connection = factory(parts.netloc, timeout=TIMEOUT_S)
+            self._origin = origin
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        try:
+            self._connection.request(method, target, body=body, headers=headers or {})
+            response = self._connection.getresponse()
+            content = response.read()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        return response.status, content
+
+    def close(self):
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+
+def _request_with_retry(session: Session, method: str, url: str,
+                        headers: Optional[Dict[str, str]] = None,
+                        json: object = None) -> bytes:
+    """The body of a 2xx answer. A connection failure is retried with
+    backoff; an error status is a TransportError at once."""
+    headers = dict(headers or {})
+    body = None
+    if json is not None:
+        body = _json_bytes(json)
+        headers["Content-Type"] = "application/json"
     delay = RETRY_BACKOFF_S
     for attempt in range(RETRY_ATTEMPTS):
         try:
-            response = session.request(method, url, timeout=30, **kwargs)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            status, content = session.request(method, url, body=body, headers=headers)
+        except (OSError, http.client.HTTPException) as exc:
             if attempt == RETRY_ATTEMPTS - 1:
                 raise TransportError(f"{method} {url} failed after "
-                                     f"{RETRY_ATTEMPTS} attempts: {exc}") from exc
+                                     f"{RETRY_ATTEMPTS} attempts: {exc!r}") from exc
             time.sleep(delay)
             delay *= 2
             continue
-        if not 200 <= response.status_code < 300:
-            raise TransportError(f"{method} {url} answered HTTP {response.status_code}")
-        return response
+        if not 200 <= status < 300:
+            raise TransportError(f"{method} {url} answered HTTP {status}")
+        return content
 
 
-def _json_body(response: requests.Response) -> dict:
+def _json_bytes(value) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+def _json_body(method: str, url: str, content: bytes) -> dict:
     try:
-        return response.json()
-    except ValueError as exc:
-        raise TransportError(f"{response.request.method} {response.url} "
-                             f"answered a body that is not JSON") from exc
+        return json.loads(content)
+    except (ValueError, RecursionError) as exc:
+        raise TransportError(f"{method} {url} answered a body that is not JSON") from exc
 
 
 def _expand_template(template: str, values: Dict[str, Value]) -> str:
@@ -181,28 +246,30 @@ def _api_base(page_url: str) -> str:
 
 
 class Client:
-    """Stateful crawler bound to one server."""
+    """Crawler bound to one server through one `Session`, its own unless one
+    is passed in: one kept-alive connection, opened on first use and closed
+    by `close()`. Use a client from one thread at a time."""
 
-    def __init__(self, session: Optional[requests.Session] = None):
-        self.session = session or requests.Session()
+    def __init__(self, session: Optional[Session] = None):
+        self.session = session or Session()
 
     def close(self):
         self.session.close()
 
     def fetch_page(self, page_url: str) -> bytes:
-        response = _request_with_retry(self.session, "GET", page_url)
-        return response.content
+        return _request_with_retry(self.session, "GET", page_url)
 
     def _search_step(self, trace: ResolutionTrace, url: str) -> dict:
         start = time.perf_counter()
-        doc = _json_body(_request_with_retry(self.session, "GET", url))
+        doc = _json_body("GET", url, _request_with_retry(self.session, "GET", url))
         trace.steps.append(Step(url, doc.get("total_count", 0),
                                 time.perf_counter() - start))
         return doc
 
     def _book_step(self, trace: ResolutionTrace, book_url: str, canonical_id: str) -> dict:
         start = time.perf_counter()
-        doc = _json_body(_request_with_retry(self.session, "POST", book_url,
+        doc = _json_body("POST", book_url,
+                         _request_with_retry(self.session, "POST", book_url,
                                              json={"canonical_id": canonical_id}))
         trace.steps.append(Step(book_url, 1, time.perf_counter() - start))
         return doc
@@ -246,20 +313,13 @@ class Client:
             offer = next((o for o in doc.get("offers", [])
                           if o.get("assignments") == desired), None)
         else:
-            # A dimension named as an action input is searchable even if the
-            # annotation also fixes it (sibling search on concrete items), so
-            # only the non-overridable part of the fixed set must match.
-            def effective_fixed(a: ParsedAnnotation) -> Dict[str, Value]:
-                inputs = set(a.action.input_names)
-                return {k: v for k, v in a.fixed.items() if k not in inputs}
-
-            candidates = [a for a in annotations if a.action is not None
-                          and all(desired.get(k) == v
-                                  for k, v in effective_fixed(a).items())]
-            if not candidates:
+            # Follow the action of the most specific consistent annotation,
+            # the first on the page among equals.
+            chosen = max((a for a in annotations if a.action is not None
+                          and all(desired.get(k) == v for k, v in a.required.items())),
+                         key=lambda a: len(a.required), default=None)
+            if chosen is None:
                 return trace  # dead_end, zero api calls: pathological page
-            candidates.sort(key=lambda a: -len(effective_fixed(a)))
-            chosen = candidates[0]
             base = _expand_template(chosen.action.target_template,
                                     {n: desired[n] for n in chosen.action.input_names
                                      if n in desired})
@@ -304,8 +364,9 @@ def hit_ratio_experiment(page_url: str, catalog: ProductCatalog, n_queries: int,
         page_client.close()
 
     def one(desired):
-        # Each query gets its own session, closed once it is resolved;
-        # requests sessions are not guaranteed thread-safe.
+        # Each query gets its own client, and so its own connection for its
+        # search and booking, closed once it is resolved; a client is not
+        # shared between threads.
         client = Client()
         try:
             return client.resolve(page_url, desired, book=book, annotations=annotations)

@@ -112,6 +112,20 @@ class TestLoadConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
 
+    # Each command that reads the field, so a bad value never reaches
+    # `socket.bind`, a file name or a catalog lookup.
+    @pytest.mark.parametrize("command, overrides", [
+        (["serve"], {"server": {"host": 5, "port": 0}}),
+        (["bench"], {"bench": {"output_path": 5}}),
+        (["bench"], {"bench": {"flexible_dimension": ["arrival"]}}),
+    ], ids=["server.host", "bench.output_path", "bench.flexible_dimension"])
+    def test_string_field_that_is_not_a_string_is_exit_1(self, workdir, capsys, command,
+                                                         overrides):
+        assert main([*command, "--config", write_config(workdir, **overrides)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert "not a string" in err[0]
+
     @pytest.mark.parametrize("overrides, env", [
         ({"server": {"host": "127.0.0.1", "port": 70000}}, {}),
         ({}, {"MATPUB_PORT": "-1"}),
@@ -282,8 +296,8 @@ class TestServeSubprocess:
 
 
 class TestServeImports:
-    """Serving loads no HTTP client: `requests` and the modules built on it
-    are imported only by `crawl` and `bench`."""
+    """Serving loads no HTTP client, and matpub loads no third-party one:
+    `crawl` and `bench` speak HTTP through the standard library."""
 
     # Prints which of these modules the interpreter has loaded; the resolver
     # is listed to show that the check ran after matpub was imported.
@@ -315,3 +329,15 @@ class TestServeImports:
             out, err = proc.communicate(timeout=10)
         assert proc.returncode == 0, err
         assert out.split() == ["matpub.resolver"]
+
+    def test_crawler_and_bench_load_only_the_standard_library(self):
+        script = ("import sys\nbefore = set(sys.modules)\n"
+                  "import matpub.consumer, matpub.bench\n" + self.REPORT
+                  + "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                  " - set(sys.stdlib_module_names))))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=SUBPROCESS_ENV, timeout=60)
+        assert done.returncode == 0, done.stderr
+        loaded, third_party = done.stdout.splitlines()
+        assert loaded.split() == ["matpub.consumer", "matpub.bench", "matpub.resolver"]
+        assert third_party.split() == ["matpub"]

@@ -3,11 +3,13 @@ import re
 import pytest
 import requests
 
+from matpub import consumer, resolver
 from matpub.annotate import elevate, render_page, serialize
 from matpub.catalog import enumerate_variations
 from matpub.consumer import (
     Client,
     ResolutionTrace,
+    Session,
     TransportError,
     _expand_template,
     extract_annotations,
@@ -31,6 +33,13 @@ def hotel10():
 def server(hotel10):
     with live_server(hotel10) as service:
         yield service
+
+
+@pytest.fixture()
+def client():
+    client = Client()
+    yield client
+    client.close()
 
 
 def page_url(service, heuristic):
@@ -97,9 +106,9 @@ class TestTemplateExpansion:
 
 
 class TestResolve:
-    def test_full_page_point_verification_single_call(self, server, hotel10):
+    def test_full_page_point_verification_single_call(self, server, hotel10, client):
         desired = first_variation(hotel10).assignments
-        trace = Client().resolve(page_url(server, "full"), desired)
+        trace = client.resolve(page_url(server, "full"), desired)
         assert trace.outcome == "found_not_booked"
         assert trace.api_calls == 1  # one point search beyond the page fetch
 
@@ -126,10 +135,10 @@ class TestResolve:
         assert trace.api_calls == 1
         assert trace.offer["assignments"] == desired
 
-    def test_specialization_unavailable_sibling_is_one_call_dead_end(self, hotel10):
+    def test_specialization_unavailable_sibling_is_one_call_dead_end(self, hotel10, client):
         with live_server(hotel10) as service:
             published, _ = extract_annotations(
-                Client().fetch_page(page_url(service, "specialization")))
+                client.fetch_page(page_url(service, "specialization")))
             desired = dict(published[0].fixed)
             desired["arrival"] = "2026-01-05"
             assert desired != published[0].fixed
@@ -156,40 +165,43 @@ class TestResolve:
         assert doc["api_calls"] == len(doc["steps"]) == 1
         assert doc["heuristic"] == "full"
 
-    def test_transport_error_after_bounded_retries(self):
+    def test_transport_error_after_bounded_retries(self, client):
         with pytest.raises(TransportError):
-            Client().fetch_page("http://127.0.0.1:1/page/full")
+            client.fetch_page("http://127.0.0.1:1/page/full")
 
 
 class TestHttpErrors:
     """An error status or a body that is not JSON is a TransportError, not an
     empty result; an error status is not retried."""
 
-    def test_bad_paging_search_is_transport_error(self, server):
+    def test_bad_paging_search_is_transport_error(self, server, client):
         trace = ResolutionTrace("abstraction", {})
         url = f"{server.endpoint_base}/api/search?per_page=0"
         with pytest.raises(TransportError, match="400"):
-            Client()._search_step(trace, url)
+            client._search_step(trace, url)
         assert trace.steps == []
 
     def test_missing_page_is_transport_error_without_retry(self, server):
         calls = []
-        with requests.Session() as session:
-            send = session.request
+        session = Session()
+        send = session.request
 
-            def counting_request(*args, **kwargs):
-                calls.append(args)
-                return send(*args, **kwargs)
+        def counting_request(*args, **kwargs):
+            calls.append(args)
+            return send(*args, **kwargs)
 
-            session.request = counting_request
+        session.request = counting_request
+        try:
             with pytest.raises(TransportError, match="404"):
                 Client(session).fetch_page(page_url(server, "no-such-heuristic"))
+        finally:
+            session.close()
         assert len(calls) == 1
 
-    def test_search_answer_that_is_not_json_is_transport_error(self, server):
+    def test_search_answer_that_is_not_json_is_transport_error(self, server, client):
         trace = ResolutionTrace("abstraction", {})
         with pytest.raises(TransportError, match="not JSON"):
-            Client()._search_step(trace, page_url(server, "abstraction"))
+            client._search_step(trace, page_url(server, "abstraction"))
 
 
 class TestHitRatioExperiment:
@@ -243,7 +255,7 @@ class TestHitRatioExperiment:
     def test_every_session_closed(self, monkeypatch):
         sessions = []
 
-        class CountingSession(requests.Session):
+        class CountingSession(Session):
             closed = False
 
             def __init__(self):
@@ -256,7 +268,7 @@ class TestHitRatioExperiment:
 
         catalog = eval_hotel_n(10)
         catalog.base_availability_rate = 0.6
-        monkeypatch.setattr(requests, "Session", CountingSession)
+        monkeypatch.setattr(consumer, "Session", CountingSession)
         with live_server(catalog) as service:
             for heuristic in ("selective", "full"):
                 sessions.clear()
@@ -273,6 +285,35 @@ class TestHitRatioExperiment:
             desired = first_variation(catalog).assignments
             assert resolve(page_url(service, "full"), desired).outcome == "found_not_booked"
             assert len(sessions) == 1 and sessions[0].closed
+
+    def test_connection_dropped_before_booking_is_retried(self, hotel10, monkeypatch):
+        """The server closes a kept-alive connection after each search
+        without saying so; the booking fails on it once and then goes
+        through on a new connection."""
+        do_get = resolver.ResolverHandler.do_GET
+
+        def search_then_hang_up(handler):
+            do_get(handler)
+            if handler.path.startswith("/api/search"):
+                handler.close_connection = True
+
+        monkeypatch.setattr(resolver.ResolverHandler, "do_GET", search_then_hang_up)
+        attempts = []
+        request = Session.request
+
+        def counting_request(session, method, url, *args, **kwargs):
+            attempts.append(method)
+            return request(session, method, url, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "request", counting_request)
+        with live_server(hotel10) as service:
+            result = hit_ratio_experiment(page_url(service, "abstraction"), hotel10,
+                                          n_queries=4, seed=2, book=True,
+                                          concurrency=1)
+        assert (result["hit_ratio"], result["booked"], result["mean_api_calls"]) == \
+            (1.0, 4, 2.0)
+        # The page, then per query a search, a failed booking and its retry.
+        assert attempts == ["GET"] + ["GET", "POST", "POST"] * 4
 
     def test_rejects_zero_queries(self, server, hotel10):
         with pytest.raises(ValueError):
