@@ -79,35 +79,57 @@ class ResolutionTrace:
         }
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not an object")
+    return value
+
+
 def _parse_block(doc: dict) -> Optional[ParsedAnnotation]:
+    """The annotation a JSON-LD block describes, or None if it is not a
+    product. A product block of another shape than annotate writes is a
+    ValueError naming the part at fault."""
     if doc.get("@type") != "Product":
         return None
     fixed: Dict[str, Value] = {}
     ranges: Dict[str, dict] = {}
-    for prop in doc.get("additionalProperty", []):
+    props = doc.get("additionalProperty", [])
+    if not isinstance(props, list):
+        raise ValueError("additionalProperty is not a list")
+    for prop in props:
+        prop = _object(prop, "an additionalProperty entry")
         name = prop.get("name")
         if name is None:
             continue
+        if not isinstance(name, str):
+            raise ValueError("a property name is not a string")
         if "minValue" in prop:
-            ref = prop.get("valueReference") or {}
+            if "maxValue" not in prop:
+                raise ValueError(f"property {name!r} has minValue but no maxValue")
+            ref = _object(prop.get("valueReference") or {}, "a valueReference")
             ranges[name] = {"min": prop["minValue"], "max": prop["maxValue"],
                             "count": ref.get("value")}
         elif isinstance(prop.get("value"), list):
             ranges[name] = {"values": prop["value"]}
         else:
             fixed[name] = prop.get("value")
-    offer = doc.get("offers", {})
+    offer = _object(doc.get("offers", {}), "offers")
     price = offer.get("price")
     price_range = None
     spec = offer.get("priceSpecification")
     if spec:
+        spec = _object(spec, "priceSpecification")
         price_range = (spec.get("minPrice"), spec.get("maxPrice"))
     currency = offer.get("priceCurrency") or (spec or {}).get("priceCurrency")
     available = str(offer.get("availability", "")).endswith("InStock")
     action = None
     action_doc = offer.get("potentialAction")
     if action_doc:
-        template = (action_doc.get("target") or {}).get("urlTemplate", "")
+        action_doc = _object(action_doc, "potentialAction")
+        template = _object(action_doc.get("target") or {}, "potentialAction target").get(
+            "urlTemplate", "")
+        if not isinstance(template, str):
+            raise ValueError("urlTemplate is not a string")
         inputs = [key[:-len("-input")] for key in action_doc if key.endswith("-input")]
         match = _TEMPLATE_QUERY.search(template)
         ordered = match.group(1).split(",") if match and match.group(1) else inputs
@@ -123,8 +145,9 @@ def _parse_block(doc: dict) -> Optional[ParsedAnnotation]:
 
 
 def extract_annotations(page: bytes) -> Tuple[List[ParsedAnnotation], List[str]]:
-    """Parse every JSON-LD product block on the page. Malformed blocks are
-    skipped with a warning record; unrelated blocks are ignored."""
+    """Parse every JSON-LD product block on the page. A block that is not
+    JSON, or a product block of the wrong shape, is skipped with a warning
+    record; unrelated blocks are ignored."""
     parsed: List[ParsedAnnotation] = []
     warnings: List[str] = []
     blocks = 0
@@ -137,7 +160,11 @@ def extract_annotations(page: bytes) -> Tuple[List[ParsedAnnotation], List[str]]
         except (ValueError, RecursionError) as exc:
             warnings.append(f"block {blocks - 1}: malformed JSON-LD ({exc})")
             return
-        annotation = _parse_block(doc) if isinstance(doc, dict) else None
+        try:
+            annotation = _parse_block(doc) if isinstance(doc, dict) else None
+        except ValueError as exc:
+            warnings.append(f"block {blocks - 1}: malformed Product block ({exc})")
+            return
         if annotation is not None:
             parsed.append(annotation)
 

@@ -3,13 +3,17 @@ heuristic and resolves search/book requests against a mutating, epoch-versioned
 in-memory inventory."""
 from __future__ import annotations
 
+import email.utils
 import json
 import os
+import queue
+import re
 import socket
 import threading
+import time
 import weakref
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from tempfile import TemporaryFile
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlparse
@@ -39,6 +43,11 @@ MAX_PER_PAGE = 200
 DEFAULT_PER_PAGE = 50
 # A booking or reset body is well under 1 KiB.
 MAX_BODY_BYTES = 64 * 1024
+# The limits `http.client.parse_headers` puts on a header block: a line of
+# more bytes, or more lines counting the blank one that ends the block, is a
+# 431. (`http.server` answers a longer request line with a 414.)
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
 
 
 class BadSearchRequest(ValueError):
@@ -240,6 +249,82 @@ def _json_bytes(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ": ")).encode("utf-8")
 
 
+class HeaderBlockTooLarge(ValueError):
+    pass
+
+
+# A line that names a field, as `email.feedparser` tells one from the rest.
+_FIELD_NAME = re.compile(r"[!-9;-~]*:")
+# A request line's version as `http.server` accepts one: each part up to ten
+# ASCII digits (it refuses a digit such as "²" only when `int` does).
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+class HeaderFields:
+    """A request's header fields read in one pass, by the rules of the
+    `email` message that `http.server` builds: names are matched without
+    regard to case, the first field of a name wins, a value starts after
+    the colon and its spaces and tabs, a line that begins with a space or
+    tab continues the field before it, and an envelope line (`From `) is
+    skipped. Any other line ends the fields; the rest of the block is read
+    but not kept."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, rfile: BinaryIO):
+        """Read the block up to the blank line that ends it; raises
+        HeaderBlockTooLarge past `http.client.parse_headers`'s limits."""
+        values: Dict[str, str] = {}
+        name: Optional[str] = None  # the kept field a continuation line extends
+        parsing = True
+        lines = 0
+        while True:
+            line = rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise HeaderBlockTooLarge("Line too long")
+            lines += 1
+            if lines > MAX_HEADER_LINES:
+                raise HeaderBlockTooLarge("Too many headers")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if not parsing:
+                continue
+            text = line.decode("iso-8859-1")
+            if text[0] in " \t":
+                if name is not None:
+                    values[name] += text
+                continue
+            name = None
+            match = _FIELD_NAME.match(text)
+            if match is None:
+                parsing = text.startswith("From ")  # an envelope line is skipped
+            else:
+                key = text[:match.end() - 1].lower()
+                if key not in values:
+                    name, values[key] = key, text[match.end():].lstrip(" \t")
+        self._values = {key: value.rstrip("\r\n") for key, value in values.items()}
+
+    def get(self, name: str, default=None):
+        return self._values.get(name.lower(), default)
+
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._values
+
+
+_date = (0, "")  # the second last formatted and its `Date` value
+
+
+def _http_date() -> str:
+    """The `Date` field's value for now, formatted once per second."""
+    global _date
+    now = int(time.time())
+    second, value = _date
+    if second != now:
+        value = email.utils.formatdate(now, usegmt=True)
+        _date = now, value
+    return value
+
+
 class ResolverHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
@@ -253,19 +338,77 @@ class ResolverHandler(BaseHTTPRequestHandler):
         if self.server.log_fn:
             self.server.log_fn(fmt % args)
 
+    def parse_request(self) -> bool:
+        """Read the request line and the header block as `http.server` does,
+        with one difference: a request line whose version is malformed or
+        2.0 and above is answered with a status line (400 or 505), where
+        `http.server` answers it as HTTP/0.9. Returns whether the request
+        goes on to its route; when it does not, any answer has been sent."""
+        self.command = None
+        self.request_version = "HTTP/0.9"  # a request line without a version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = self.request_version = words[-1]
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            number = int(match[1]), int(match[2])
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+            return False
+        if path.startswith("//"):  # a client would read it as another host
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        try:
+            self.headers = HeaderFields(self.rfile)
+        except HeaderBlockTooLarge as exc:
+            self.send_error(431, str(exc))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def send_error(self, code: int, message: Optional[str] = None, explain=None):
+        """Answer a request refused before its route, whether for its request
+        line, its header block or its method, as a route answers an error:
+        JSON with the epoch. The connection then closes."""
+        code = int(code)
+        message = message or self.responses[code][0]
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._error(code, message, self.service.epoch)
+
     def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int):
         """Put the whole response on the wire in one send. Sent in two, the
         body would wait on a kept-alive connection until the client's delayed
         ACK of the headers (Nagle's algorithm), about 40 ms."""
         size = len(body) if isinstance(body, bytes) else body.size
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(size))
-        self.send_header(EPOCH_HEADER, str(epoch))
+        self.log_request(status)
         head = b""  # an HTTP/0.9 answer is the body alone
-        if self.request_version != "HTTP/0.9":  # end the block as `end_headers` does, unsent
-            self._headers_buffer.append(b"\r\n")
-            head, self._headers_buffer = b"".join(self._headers_buffer), []
+        if self.request_version != "HTTP/0.9":
+            head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                    f"Server: {self.version_string()}\r\nDate: {_http_date()}\r\n"
+                    f"Content-Type: {content_type}\r\nContent-Length: {size}\r\n"
+                    f"{EPOCH_HEADER}: {epoch}\r\n\r\n").encode("latin-1")
         try:
             if self.command == "HEAD":  # a HEAD gets the GET's headers only
                 self.connection.sendall(head)
@@ -382,16 +525,65 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such path {url.path!r}", self.service.epoch)
 
 
-class ResolverServer(ThreadingHTTPServer):
-    """One service's server: `make_server` sets the `service` and `log_fn` handlers read."""
-    daemon_threads = True
+class ResolverServer(HTTPServer):
+    """One service's server: `make_server` sets the `service` and `log_fn`
+    handlers read. Each open connection has a thread of its own, as under
+    `ThreadingHTTPServer`, but a thread that has finished its connection
+    waits for the next one, and a new thread starts only when none waits.
+    `server_close` ends the waiting threads, and a thread that finishes
+    after it ends too: no thread keeps a closed server, its service and its
+    stored pages alive."""
     request_queue_size = 128  # survive concurrent client bursts
     service: ResolverService
     log_fn: Optional[Callable[[str], None]] = None
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
+        # Under _lock: how many threads wait on `_handoff`, and whether the
+        # server is closed. A connection is put on `_handoff` only for a
+        # thread counted in `_waiting`, which the put uncounts.
+        self._waiting = 0
+        self._closed = False
+        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            handed = self._waiting > 0
+            if handed:
+                self._waiting -= 1
+        if handed:
+            self._handoff.put((request, client_address))
+        else:
+            threading.Thread(target=self._serve, args=(request, client_address),
+                             daemon=True).start()
+
+    def _serve(self, request, client_address):
+        """Serve connections until the server closes; `None` ends the thread."""
+        while request is not None:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                if self._closed:
+                    return
+                self._waiting += 1
+            request, client_address = self._handoff.get()
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            waiting, self._waiting = self._waiting, 0
+        for _ in range(waiting):
+            self._handoff.put((None, None))
+
 
 def make_server(service: ResolverService, host: str = "127.0.0.1", port: int = 0,
-                log_fn: Optional[Callable[[str], None]] = None) -> ThreadingHTTPServer:
+                log_fn: Optional[Callable[[str], None]] = None) -> ResolverServer:
     """Bind a threading HTTP server for the service. With port=0 the OS picks a
     free port; the service's endpoint base is updated to the bound address."""
     server = ResolverServer((host, port), ResolverHandler)

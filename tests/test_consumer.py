@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -85,6 +86,28 @@ class TestExtraction:
         assert parsed == []
         assert len(warnings) == 1
         assert "malformed" in warnings[0]
+
+    @pytest.mark.parametrize("shape", [
+        {"additionalProperty": [1]},
+        {"additionalProperty": 5},
+        {"offers": []},
+        {"offers": {"potentialAction": {"target": "x"}}},
+        {"additionalProperty": [{"name": ["stay"], "value": 1}]},
+        {"additionalProperty": [{"name": "stay", "minValue": 1}]},
+        {"offers": {"priceSpecification": 5}},
+        {"offers": {"potentialAction": {"target": {"urlTemplate": 5}}}},
+    ], ids=["property-not-object", "properties-not-list", "offers-not-object",
+            "target-not-object", "name-not-string", "min-without-max",
+            "price-specification-not-object", "url-template-not-string"])
+    def test_product_block_of_wrong_shape_is_skipped_with_warning(self, shape):
+        blocks = [json.dumps({"@type": "Product", **shape}),
+                  json.dumps({"@type": "Product", "@id": "#kept"})]
+        page = "".join(f'<script type="application/ld+json">{block}</script>'
+                       for block in blocks).encode()
+        parsed, warnings = extract_annotations(page)
+        assert [annotation.anchor_id for annotation in parsed] == ["kept"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("block 0: malformed")
 
     def test_unrelated_jsonld_ignored(self):
         page = (b'<html><body><script type="application/ld+json">'

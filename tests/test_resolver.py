@@ -1,7 +1,9 @@
+import contextlib
 import errno
 import gc
 import hashlib
 import http.client
+import io
 import json
 import os
 import random
@@ -18,6 +20,8 @@ from urllib.parse import urlencode
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matpub.catalog
 import reference_annotate as reference
@@ -313,6 +317,224 @@ class TestOneSend:
                 sock.sendall(b"GET /page/abstraction\r\n\r\n")
                 data = read_until_closed(sock)
             assert data == reference_page(service, "abstraction")
+
+
+BOOKING = json.dumps({"canonical_id": next(enumerate_variations(eval_hotel_n(10))).canonical_id})
+# A point search that ends the connection: answered only on a connection kept alive.
+FOLLOW_UP = (b"GET /api/search?type=normal&catering=breakfast&occupancy=single"
+             b"&arrival=2026-01-01&stay=1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+
+
+def exchange(service, request, follow_up):
+    """The answers to `request`, sent alone or followed by FOLLOW_UP on the
+    same connection, read until the server closes it: (status, fields with
+    lower-case names, body) each, a 100 Continue with no body."""
+    with socket.create_connection(address(service), timeout=30) as sock:
+        sock.sendall(request + (FOLLOW_UP if follow_up else b""))
+        data = b""
+        try:
+            while chunk := sock.recv(64 * 1024):
+                data += chunk
+        except ConnectionResetError:  # closed with request bytes left unread
+            pass
+    answers = []
+    while data:
+        end = data.index(b"\r\n\r\n") + 4
+        lines = data[:end].decode("latin-1").split("\r\n")[:-2]
+        fields = {name.lower(): value for name, value in
+                  (line.split(": ", 1) for line in lines[1:])}
+        status = int(lines[0].split()[1])
+        size = 0 if status == 100 else int(fields["content-length"])
+        answers.append((status, fields, data[end:end + size]))
+        data = data[end + size:]
+    return answers
+
+
+def head_block(*lines):
+    return b"".join(line + b"\r\n" for line in lines) + b"\r\n"
+
+
+def book_request(*fields, body=BOOKING.encode()):
+    return head_block(b"POST /api/book HTTP/1.1", b"Host: x",
+                      b"Content-Type: application/json", *fields) + body
+
+
+class TestRequestLayer:
+    """The request line and header block are read as `http.server` reads
+    them; only a bad or unsupported version is answered with a status line
+    where `http.server` answered it as HTTP/0.9."""
+
+    # (request, whether the server closes after it, the statuses it answers)
+    CASES = {
+        "lower-case-content-length": (
+            book_request(b"content-length: %d" % len(BOOKING)), False, [200]),
+        "lower-case-chunked": (
+            book_request(b"transfer-encoding: chunked",
+                         body=b"%x\r\n%s\r\n0\r\n\r\n" % (len(BOOKING), BOOKING.encode())),
+            True, [411]),
+        "120-fields": (head_block(b"GET /api/search HTTP/1.1",
+                                  *[b"X-Field-%d: %d" % (i, i) for i in range(120)]),
+                       True, [431]),
+        "70000-byte-field": (head_block(b"GET /api/search HTTP/1.1", b"X-Long: " + b"a" * 70_000),
+                             True, [431]),
+        "70000-byte-request-line": (head_block(b"GET /api/search?" + b"a" * 70_000 + b" HTTP/1.1"),
+                                    True, [414]),
+        "put": (head_block(b"PUT /api/book HTTP/1.1", b"Host: x"), True, [501]),
+        "connection-close": (head_block(b"GET /page/abstraction HTTP/1.1", b"Connection: close"),
+                             True, [200]),
+        "http-1.0": (head_block(b"GET /page/abstraction HTTP/1.0"), True, [200]),
+        "expect-100-continue": (book_request(b"Expect: 100-continue",
+                                             b"Content-Length: %d" % len(BOOKING)),
+                                False, [100, 200]),
+        "first-content-length-wins": (
+            book_request(b"Content-Length: %d" % len(BOOKING), b"Content-Length: 5"),
+            False, [200]),
+        "bad-version": (head_block(b"GET /api/search HTTP/x"), True, [400]),
+        "version-2.0": (head_block(b"GET /api/search HTTP/2.0"), True, [505]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_request_layer(self, hotel10, case):
+        request, closes, statuses = self.CASES[case]
+        with live_server(hotel10) as service:
+            answers = exchange(service, request, follow_up=not closes)
+            epoch = service.epoch
+        assert [status for status, _, _ in answers] == statuses + ([] if closes else [200])
+        if request.startswith(b"POST"):  # the booking was read whole, or not at all
+            assert epoch == (1 if statuses[-1] == 200 else 0)
+
+    ERRORS = {
+        "bad-version": (b"GET /api/search HTTP/x", 400),
+        "three-part-version": (b"GET /api/search HTTP/1.1.1", 400),
+        "non-ascii-digit-in-version": (b"GET /api/search HTTP/\xb2.1", 400),
+        "version-2.0": (b"GET /api/search HTTP/2.0", 505),
+        "version-12.3": (b"GET /api/search HTTP/12.3", 505),
+        "four-words": (b"GET /api/search extra HTTP/1.1", 400),
+        "70000-byte-request-line": (b"GET /" + b"a" * 70_000 + b" HTTP/1.1", 414),
+        "delete": (b"DELETE /api/book HTTP/1.1", 501),
+        "120-fields": (b"GET / HTTP/1.1\r\n" + b"\r\n".join(b"X-%d: 1" % i for i in range(120)),
+                       431),
+        "70000-byte-field": (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 70_000, 431),
+    }
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_request_level_error_is_json_and_closes(self, hotel10, case):
+        head, status = self.ERRORS[case]
+        with live_server(hotel10) as service:
+            assert service.book(json.loads(BOOKING)["canonical_id"]).status == "confirmed"
+            [(answered, fields, body)] = exchange(service, head_block(head), follow_up=False)
+        assert answered == status
+        assert fields["content-type"] == "application/json; charset=utf-8"
+        assert fields[EPOCH_HEADER.lower()] == "1"
+        assert list(json.loads(body)) == ["error"]
+
+    @pytest.mark.parametrize("request_line", [b"GET", b"POST /api/book"])
+    def test_request_line_without_version_is_answered_as_http_0_9(self, hotel10, request_line):
+        with live_server(hotel10) as service:
+            with socket.create_connection(address(service), timeout=30) as sock:
+                sock.sendall(head_block(request_line))
+                data = read_until_closed(sock)
+        assert list(json.loads(data)) == ["error"]
+
+    def test_header_block_too_large_by_lines_counts_the_blank_line(self, hotel10):
+        """As in `http.client`: 99 fields pass, 100 are one line too many."""
+        with live_server(hotel10) as service:
+            statuses = [exchange(service, head_block(b"GET /api/search?per_page=1 HTTP/1.1",
+                                                     *[b"X-%d: 1" % i for i in range(n - 1)],
+                                                     b"Connection: close"),
+                                 follow_up=False)[-1][0]
+                        for n in (99, 100)]
+        assert statuses == [200, 431]
+
+
+FIELD_NAMES = [b"Connection", b"connection", b"CONTENT-LENGTH", b"Content-Length",
+               b"Expect", b"Transfer-Encoding", b"X-\xe9"]
+field_value = st.text(alphabet=" \t:a5\x0c\x85\xe9", max_size=6).map(
+    lambda text: text.encode("latin-1"))
+header_line = st.one_of(
+    st.builds(lambda name, colon, value: name + colon + value,
+              st.sampled_from(FIELD_NAMES), st.sampled_from([b":", b": ", b":\t", b" :"]),
+              field_value),
+    st.builds(bytes.__add__, st.sampled_from([b" ", b"\t"]), field_value),  # a continuation
+    st.sampled_from([b"From x", b": no name", b"no colon", b"Bad Name: x", b"\x85X: x"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(st.tuples(header_line, st.sampled_from([b"\r\n", b"\n"])), max_size=8))
+def test_header_fields_read_as_the_email_parser_reads_them(lines):
+    """`HeaderFields` against `http.client.parse_headers`, the reader it
+    replaced, on blocks free of a bare carriage return."""
+    block = b"".join(line + end for line, end in lines) + b"\r\n"
+    fields = resolver.HeaderFields(io.BytesIO(block))
+    message = http.client.parse_headers(io.BytesIO(block))
+    for name in {name.decode("latin-1") for name in FIELD_NAMES} | {"From", "Bad Name"}:
+        assert (fields.get(name), name in fields) == (message.get(name), name in message)
+
+
+class TestHandlerThreads:
+    """A handler thread that has finished its connection serves the next one,
+    and a closed server ends every handler thread."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def serving(catalog):
+        """(service, the handler threads started while serving); the server
+        is shut down and closed on exit."""
+        with live_server(catalog) as service:
+            before = set(threading.enumerate())
+            handlers = set()
+            try:
+                yield service, handlers
+            finally:
+                handlers.update(set(threading.enumerate()) - before)
+
+    @staticmethod
+    def all_end(threads, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for thread in threads)
+
+    def test_sequential_connections_reuse_threads(self, hotel10):
+        with self.serving(hotel10) as (service, handlers):
+            before = threading.active_count()
+            for _ in range(50):
+                [(status, _, _)] = exchange(service, FOLLOW_UP, follow_up=False)
+                assert status == 200
+            assert threading.active_count() - before <= 2
+        assert self.all_end(handlers)
+
+    def test_thread_busy_at_close_ends_with_its_connection(self, hotel10):
+        with self.serving(hotel10) as (service, handlers):
+            conn = http.client.HTTPConnection(*address(service), timeout=30)
+            conn.request("GET", "/api/search?stay=1&per_page=1")
+            response = conn.getresponse()
+            assert response.status == 200 and response.read()
+        conn.close()  # the connection outlives the server's close
+        assert self.all_end(handlers)
+
+    def test_concurrent_connections_are_all_served(self, hotel10):
+        """More clients than cores open new and kept-alive connections at
+        once: a connection handed to no thread would time its client out."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        keep_alive = FOLLOW_UP.replace(b"Connection: close\r\n", b"")
+        try:
+            with self.serving(hotel10) as (service, handlers):
+                def client(i):
+                    return [status for _ in range(15) for status, _, _ in
+                            exchange(service, keep_alive if i % 2 else FOLLOW_UP,
+                                     follow_up=bool(i % 2))]
+
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    answered = [pool.submit(client, i) for i in range(6)]
+                    statuses = [status for future in answered
+                                for status in future.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(switch)
+        assert statuses == [200] * (3 * 15 + 3 * 15 * 2)
+        assert self.all_end(handlers)
 
 
 class TestBulkPageCache:
