@@ -39,6 +39,7 @@ from .heuristics import (
 )
 
 EPOCH_HEADER = "X-Inventory-Epoch"
+JSON_TYPE = "application/json; charset=utf-8"
 MAX_PER_PAGE = 200
 DEFAULT_PER_PAGE = 50
 # A booking or reset body is well under 1 KiB.
@@ -395,18 +396,22 @@ class ResolverHandler(BaseHTTPRequestHandler):
         message = message or self.responses[code][0]
         self.log_error("code %d, message %s", code, message)
         self.close_connection = True
-        self._error(code, message, self.service.epoch)
+        self._respond(code, _json_bytes({"error": message}), JSON_TYPE, self.service.epoch,
+                      closing=True)
 
-    def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int):
+    def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int,
+                 closing: bool = False):
         """Put the whole response on the wire in one send. Sent in two, the
         body would wait on a kept-alive connection until the client's delayed
-        ACK of the headers (Nagle's algorithm), about 40 ms."""
+        ACK of the headers (Nagle's algorithm), about 40 ms. `closing` adds
+        `Connection: close`, where `http.server`'s `send_error` put it."""
         size = len(body) if isinstance(body, bytes) else body.size
         self.log_request(status)
         head = b""  # an HTTP/0.9 answer is the body alone
         if self.request_version != "HTTP/0.9":
+            connection = "Connection: close\r\n" if closing else ""
             head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-                    f"Server: {self.version_string()}\r\nDate: {_http_date()}\r\n"
+                    f"Server: {self.version_string()}\r\nDate: {_http_date()}\r\n{connection}"
                     f"Content-Type: {content_type}\r\nContent-Length: {size}\r\n"
                     f"{EPOCH_HEADER}: {epoch}\r\n\r\n").encode("latin-1")
         try:
@@ -424,7 +429,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _json(self, status: int, doc, epoch: int):
-        self._respond(status, _json_bytes(doc), "application/json; charset=utf-8", epoch)
+        self._respond(status, _json_bytes(doc), JSON_TYPE, epoch)
 
     def _error(self, status: int, message: str, epoch: int, **extra):
         self._json(status, {"error": message, **extra}, epoch)
@@ -538,7 +543,8 @@ class ResolverServer(HTTPServer):
     log_fn: Optional[Callable[[str], None]] = None
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # Set before binding: a failed bind calls `server_close` from within
+        # `TCPServer.__init__`, and the `OSError` must reach the caller.
         self._lock = threading.Lock()
         # Under _lock: how many threads wait on `_handoff`, and whether the
         # server is closed. A connection is put on `_handoff` only for a
@@ -546,6 +552,7 @@ class ResolverServer(HTTPServer):
         self._waiting = 0
         self._closed = False
         self._handoff: queue.SimpleQueue = queue.SimpleQueue()
+        super().__init__(*args, **kwargs)
 
     def process_request(self, request, client_address):
         with self._lock:

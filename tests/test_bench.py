@@ -104,6 +104,14 @@ class TestRunSweep:
         assert record.serve_time_ms is not None
         assert warnings == []
 
+    def test_server_that_cannot_bind_is_a_warning(self):
+        """192.0.2.1 (TEST-NET-1) is no address of this host."""
+        config = SweepConfig(n_values=[2], heuristics=["abstraction"], repetitions=3,
+                             host="192.0.2.1")
+        records, warnings = run_sweep(eval_hotel_n(2), config, HeuristicPolicies())
+        assert [r.serve_time_ms for r in records] == [None]
+        assert "embedded server failed to start" in warnings[0]
+
     def test_empty_n_values_rejected(self, eval_hotel):
         with pytest.raises(BenchError):
             run_sweep(eval_hotel, SweepConfig(n_values=[]))

@@ -1,5 +1,6 @@
 import json
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,16 @@ class TestLoadConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
         assert "0..65535" in err[0]
+
+    def test_port_in_use_is_exit_1(self, workdir, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            config = write_config(workdir, server={"host": "127.0.0.1", "port": port})
+            assert main(["serve", "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot bind 127.0.0.1:{port}: "), err
 
 
 class TestGenerate:

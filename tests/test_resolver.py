@@ -212,9 +212,12 @@ def reference_page(service, heuristic):
 
 
 def read_until_closed(sock):
+    """What the server sends until it closes the connection, or resets it for
+    request bytes it left unread."""
     data = b""
-    while chunk := sock.recv(64 * 1024):
-        data += chunk
+    with contextlib.suppress(ConnectionResetError):
+        while chunk := sock.recv(64 * 1024):
+            data += chunk
     return data
 
 
@@ -331,12 +334,7 @@ def exchange(service, request, follow_up):
     lower-case names, body) each, a 100 Continue with no body."""
     with socket.create_connection(address(service), timeout=30) as sock:
         sock.sendall(request + (FOLLOW_UP if follow_up else b""))
-        data = b""
-        try:
-            while chunk := sock.recv(64 * 1024):
-                data += chunk
-        except ConnectionResetError:  # closed with request bytes left unread
-            pass
+        data = read_until_closed(sock)
     answers = []
     while data:
         end = data.index(b"\r\n\r\n") + 4
@@ -362,8 +360,11 @@ def book_request(*fields, body=BOOKING.encode()):
 class TestRequestLayer:
     """The request line and header block are read as `http.server` reads
     them; only a bad or unsupported version is answered with a status line
-    where `http.server` answered it as HTTP/0.9."""
+    where `http.server` answered it as HTTP/0.9. Every refusal is JSON with
+    the epoch, and one made before the route also says that it closes."""
 
+    # Refused by `parse_request` or for the method, before any route.
+    REQUEST_LEVEL = {400, 414, 431, 501, 505}
     # (request, whether the server closes after it, the statuses it answers)
     CASES = {
         "lower-case-content-length": (
@@ -390,43 +391,33 @@ class TestRequestLayer:
             book_request(b"Content-Length: %d" % len(BOOKING), b"Content-Length: 5"),
             False, [200]),
         "bad-version": (head_block(b"GET /api/search HTTP/x"), True, [400]),
+        "three-part-version": (head_block(b"GET /api/search HTTP/1.1.1"), True, [400]),
+        "non-ascii-digit-in-version": (head_block(b"GET /api/search HTTP/\xb2.1"), True, [400]),
         "version-2.0": (head_block(b"GET /api/search HTTP/2.0"), True, [505]),
+        "version-12.3": (head_block(b"GET /api/search HTTP/12.3"), True, [505]),
+        "four-words": (head_block(b"GET /api/search extra HTTP/1.1"), True, [400]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_request_layer(self, hotel10, case):
         request, closes, statuses = self.CASES[case]
         with live_server(hotel10) as service:
+            # A booking beforehand, so the epoch a refusal reports is not 0.
+            other = list(enumerate_variations(hotel10))[-1].canonical_id
+            assert other != json.loads(BOOKING)["canonical_id"]
+            assert service.book(other).status == "confirmed"
             answers = exchange(service, request, follow_up=not closes)
             epoch = service.epoch
         assert [status for status, _, _ in answers] == statuses + ([] if closes else [200])
         if request.startswith(b"POST"):  # the booking was read whole, or not at all
-            assert epoch == (1 if statuses[-1] == 200 else 0)
-
-    ERRORS = {
-        "bad-version": (b"GET /api/search HTTP/x", 400),
-        "three-part-version": (b"GET /api/search HTTP/1.1.1", 400),
-        "non-ascii-digit-in-version": (b"GET /api/search HTTP/\xb2.1", 400),
-        "version-2.0": (b"GET /api/search HTTP/2.0", 505),
-        "version-12.3": (b"GET /api/search HTTP/12.3", 505),
-        "four-words": (b"GET /api/search extra HTTP/1.1", 400),
-        "70000-byte-request-line": (b"GET /" + b"a" * 70_000 + b" HTTP/1.1", 414),
-        "delete": (b"DELETE /api/book HTTP/1.1", 501),
-        "120-fields": (b"GET / HTTP/1.1\r\n" + b"\r\n".join(b"X-%d: 1" % i for i in range(120)),
-                       431),
-        "70000-byte-field": (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 70_000, 431),
-    }
-
-    @pytest.mark.parametrize("case", list(ERRORS))
-    def test_request_level_error_is_json_and_closes(self, hotel10, case):
-        head, status = self.ERRORS[case]
-        with live_server(hotel10) as service:
-            assert service.book(json.loads(BOOKING)["canonical_id"]).status == "confirmed"
-            [(answered, fields, body)] = exchange(service, head_block(head), follow_up=False)
-        assert answered == status
-        assert fields["content-type"] == "application/json; charset=utf-8"
-        assert fields[EPOCH_HEADER.lower()] == "1"
-        assert list(json.loads(body)) == ["error"]
+            assert epoch == (2 if statuses[-1] == 200 else 1)
+        status, fields, body = answers[-1]
+        if status >= 400:
+            assert fields["content-type"] == "application/json; charset=utf-8"
+            assert fields[EPOCH_HEADER.lower()] == "1"
+            assert list(json.loads(body)) == ["error"]
+        if status in self.REQUEST_LEVEL:
+            assert fields["connection"] == "close"
 
     @pytest.mark.parametrize("request_line", [b"GET", b"POST /api/book"])
     def test_request_line_without_version_is_answered_as_http_0_9(self, hotel10, request_line):
@@ -470,6 +461,15 @@ def test_header_fields_read_as_the_email_parser_reads_them(lines):
     message = http.client.parse_headers(io.BytesIO(block))
     for name in {name.decode("latin-1") for name in FIELD_NAMES} | {"From", "Bad Name"}:
         assert (fields.get(name), name in fields) == (message.get(name), name in message)
+
+
+def test_bind_failure_raises_os_error(hotel10):
+    """A failed bind closes the server's socket from within the constructor;
+    the caller gets the bind's `OSError`."""
+    with live_server(hotel10) as service:
+        host, port = address(service)
+        with pytest.raises(OSError):
+            resolver.make_server(ResolverService(hotel10), host=host, port=port)
 
 
 class TestHandlerThreads:
