@@ -254,6 +254,17 @@ def parse_integer(raw: str) -> int:
     return int(raw)
 
 
+def config_integer(value) -> int:
+    """An integer in a config or catalog file: a JSON integer (not a bool),
+    or a string of digits as `parse_integer` spells one. Anything else is a
+    ValueError."""
+    if isinstance(value, str):
+        return parse_integer(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def parse_value(catalog: ProductCatalog, name: str, raw: str) -> Value:
     """Type a raw string as a value of the named dimension (an integer for an
     ordinal one). Raises ValidationError for an unknown dimension, a
@@ -370,13 +381,13 @@ def _expand_values(kind: DimensionKind, spec) -> Tuple[Value, ...]:
     if isinstance(spec, list):
         return tuple(spec)
     if isinstance(spec, dict):
-        count = int(spec["count"])
+        count = config_integer(spec["count"])
         if kind is DimensionKind.TEMPORAL:
             start = date.fromisoformat(spec["start"])
             return tuple((start + timedelta(days=i)).isoformat() for i in range(count))
         if kind is DimensionKind.ORDINAL:
-            start = int(spec["start"])
-            step = int(spec.get("step", 1))
+            start = config_integer(spec["start"])
+            step = config_integer(spec.get("step", 1))
             return tuple(start + i * step for i in range(count))
     raise CatalogError(f"cannot expand values spec {spec!r} for kind {kind.value}")
 
@@ -404,6 +415,9 @@ def catalog_from_dict(doc: dict) -> ProductCatalog:
             modifiers=modifiers,
         )
         inventory = doc["inventory"]
+        rate = inventory["availability_rate"]
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ValueError(f"availability rate is not a number: {rate!r}")
         return ProductCatalog(
             product_name=product["name"],
             description=product.get("description", ""),
@@ -411,10 +425,12 @@ def catalog_from_dict(doc: dict) -> ProductCatalog:
             area_served=product.get("area_served", ""),
             dimensions=dims,
             pricing=pricing,
-            inventory_seed=int(inventory["seed"]),
-            base_availability_rate=float(inventory["availability_rate"]),
+            inventory_seed=config_integer(inventory["seed"]),
+            base_availability_rate=float(rate),
         )
-    except (KeyError, TypeError) as exc:
+    except CatalogError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed catalog document: {exc}") from exc
 
 

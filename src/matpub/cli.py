@@ -20,8 +20,8 @@ from .catalog import (
     CatalogError,
     Inventory,
     ProductCatalog,
+    config_integer,
     load_catalog,
-    parse_integer,
     parse_value,
 )
 from .heuristics import (
@@ -70,16 +70,6 @@ class Config:
         return self._catalog
 
 
-def _integer(value) -> int:
-    """A config integer: a JSON integer (not a bool), or a string of digits
-    as `parse_integer` spells one. Anything else is a ValueError."""
-    if isinstance(value, str):
-        return parse_integer(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"not an integer: {value!r}")
-    return value
-
-
 def _string(value) -> str:
     """A config string: a JSON string. Anything else is a ValueError."""
     if not isinstance(value, str):
@@ -91,16 +81,16 @@ def _policies_from_dict(doc: dict) -> HeuristicPolicies:
     cls_doc = doc.get("policies", {}).get("classification", {})
     classification = ClassificationPolicy(
         mode=ClassificationMode(cls_doc.get("mode", "threshold")),
-        length_threshold=_integer(cls_doc.get("length_threshold", 5)),
-        byte_budget=_integer(cls_doc.get("byte_budget", 50_000)),
-        est_item_bytes=_integer(cls_doc.get("est_item_bytes", 600)),
+        length_threshold=config_integer(cls_doc.get("length_threshold", 5)),
+        byte_budget=config_integer(cls_doc.get("byte_budget", 50_000)),
+        est_item_bytes=config_integer(cls_doc.get("est_item_bytes", 600)),
     )
     picker_doc = doc.get("policies", {}).get("picker", {})
     return HeuristicPolicies(
         classification=classification,
         picker=PickerPolicy(picker_doc.get("mode", "first-lexicographic")),
-        picker_seed=_integer(picker_doc.get("seed", 0)),
-        hard_cap=_integer(doc.get("hard_cap", 10 ** 6)),
+        picker_seed=config_integer(picker_doc.get("seed", 0)),
+        hard_cap=config_integer(doc.get("hard_cap", 10 ** 6)),
     )
 
 
@@ -123,10 +113,10 @@ def load_config(path: str) -> Config:
         config = Config(
             catalog_path=catalog_path,
             host=_string(os.environ.get("MATPUB_HOST", server.get("host", "127.0.0.1"))),
-            port=_integer(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
+            port=config_integer(os.environ.get("MATPUB_PORT", server.get("port", 8321))),
             policies=_policies_from_dict(doc),
-            bench_n_values=[_integer(n) for n in bench.get("n_values", [1, 183, 365])],
-            bench_repetitions=_integer(bench.get("repetitions", 3)),
+            bench_n_values=[config_integer(n) for n in bench.get("n_values", [1, 183, 365])],
+            bench_repetitions=config_integer(bench.get("repetitions", 3)),
             bench_output_path=_string(bench.get("output_path", "bench.csv")),
             bench_flexible_dimension=_string(bench.get("flexible_dimension", "arrival")),
             bench_heuristics=list(bench.get("heuristics", HEURISTIC_NAMES)),

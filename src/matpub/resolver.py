@@ -25,6 +25,7 @@ from .catalog import (
     ProductCatalog,
     ValidationError,
     Value,
+    canonical_id_for,
     parse_canonical_id,
     parse_integer,
     parse_value,
@@ -44,9 +45,8 @@ MAX_PER_PAGE = 200
 DEFAULT_PER_PAGE = 50
 # A booking or reset body is well under 1 KiB.
 MAX_BODY_BYTES = 64 * 1024
-# The limits `http.client.parse_headers` puts on a header block: a line of
-# more bytes, or more lines counting the blank one that ends the block, is a
-# 431. (`http.server` answers a longer request line with a 414.)
+# A request line of more bytes is a 414; a header line of more bytes, or a
+# header block of more lines counting the blank one that ends it, is a 431.
 MAX_LINE_BYTES = 64 * 1024
 MAX_HEADER_LINES = 100
 
@@ -119,7 +119,7 @@ class ResolverService:
             assignments = parse_canonical_id(self.catalog, canonical_id)
         except ValidationError:
             return BookingResult("unknown_offer", canonical_id, self.epoch)
-        canonical_id = self.catalog.variation(assignments).canonical_id
+        canonical_id = canonical_id_for(self.catalog.dimension_names, assignments)
         with self._lock:
             booked = self._inventory.book(canonical_id)
             if booked is not None:
@@ -250,60 +250,49 @@ def _json_bytes(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ": ")).encode("utf-8")
 
 
-class HeaderBlockTooLarge(ValueError):
-    pass
+class BadHeaderBlock(ValueError):
+    """A header block refused with `status`: 431 past a limit, 400 for a
+    line that is not a field line."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
-# A line that names a field, as `email.feedparser` tells one from the rest.
-_FIELD_NAME = re.compile(r"[!-9;-~]*:")
-# A request line's version as `http.server` accepts one: each part up to ten
-# ASCII digits (it refuses a digit such as "²" only when `int` does).
+# A field line (RFC 9112 §5.1): a token, a colon, then the value, which holds
+# no CR and no NUL (RFC 9110 §5.5), and CRLF or a bare LF (RFC 9112 §2.2).
+# The spaces and tabs around the value are stripped after the match.
+_FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\0]*)\r?\n")
+# A request line's version: each part up to ten ASCII digits.
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 class HeaderFields:
-    """A request's header fields read in one pass, by the rules of the
-    `email` message that `http.server` builds: names are matched without
-    regard to case, the first field of a name wins, a value starts after
-    the colon and its spaces and tabs, a line that begins with a space or
-    tab continues the field before it, and an envelope line (`From `) is
-    skipped. Any other line ends the fields; the rest of the block is read
-    but not kept."""
+    """A request's header fields read in one pass. Every line up to the
+    blank one is a field line; names are matched without regard to case,
+    and the first field of a name wins."""
 
     __slots__ = ("_values",)
 
     def __init__(self, rfile: BinaryIO):
-        """Read the block up to the blank line that ends it; raises
-        HeaderBlockTooLarge past `http.client.parse_headers`'s limits."""
+        """Read the block up to the blank line that ends it, or to the end
+        of the stream. Raises BadHeaderBlock past the limits, or for a line
+        that is not a field line: a folded one, or one with whitespace before
+        its colon or without a name."""
         values: Dict[str, str] = {}
-        name: Optional[str] = None  # the kept field a continuation line extends
-        parsing = True
-        lines = 0
-        while True:
+        for _ in range(MAX_HEADER_LINES):
             line = rfile.readline(MAX_LINE_BYTES + 1)
             if len(line) > MAX_LINE_BYTES:
-                raise HeaderBlockTooLarge("Line too long")
-            lines += 1
-            if lines > MAX_HEADER_LINES:
-                raise HeaderBlockTooLarge("Too many headers")
+                raise BadHeaderBlock(431, "Line too long")
             if line in (b"\r\n", b"\n", b""):
-                break
-            if not parsing:
-                continue
+                self._values = values
+                return
             text = line.decode("iso-8859-1")
-            if text[0] in " \t":
-                if name is not None:
-                    values[name] += text
-                continue
-            name = None
-            match = _FIELD_NAME.match(text)
+            match = _FIELD_LINE.fullmatch(text)
             if match is None:
-                parsing = text.startswith("From ")  # an envelope line is skipped
-            else:
-                key = text[:match.end() - 1].lower()
-                if key not in values:
-                    name, values[key] = key, text[match.end():].lstrip(" \t")
-        self._values = {key: value.rstrip("\r\n") for key, value in values.items()}
+                raise BadHeaderBlock(400, f"Malformed header line ({text[:64]!r})")
+            values.setdefault(match[1].lower(), match[2].strip(" \t"))
+        raise BadHeaderBlock(431, "Too many headers")
 
     def get(self, name: str, default=None):
         return self._values.get(name.lower(), default)
@@ -340,80 +329,70 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self.server.log_fn(fmt % args)
 
     def parse_request(self) -> bool:
-        """Read the request line and the header block as `http.server` does,
-        with one difference: a request line whose version is malformed or
-        2.0 and above is answered with a status line (400 or 505), where
-        `http.server` answers it as HTTP/0.9. Returns whether the request
-        goes on to its route; when it does not, any answer has been sent."""
+        """Read the request line, method, target and version (RFC 9112 §3),
+        after one empty line if one comes first (§2.2), and then the header
+        block. Returns whether the request goes on to its route; when it
+        does not, any answer has been sent."""
         self.command = None
-        self.request_version = "HTTP/0.9"  # a request line without a version
         self.close_connection = True
+        if self.raw_requestline in (b"\r\n", b"\n"):
+            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not self.raw_requestline:
+                return False
+            if len(self.raw_requestline) > MAX_LINE_BYTES:
+                self.requestline = ""
+                self.send_error(414)
+                return False
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            version = self.request_version = words[-1]
-            match = _VERSION.fullmatch(version)
-            if match is None:
-                self.send_error(400, f"Bad request version ({version!r})")
-                return False
-            number = int(match[1]), int(match[2])
-            if number >= (2, 0):
-                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
-                return False
-            self.close_connection = number < (1, 1)
-        if not 2 <= len(words) <= 3:
+        if len(words) != 3:
             self.send_error(400, f"Bad request syntax ({self.requestline!r})")
             return False
-        command, path = words[:2]
-        if len(words) == 2 and command != "GET":
-            self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+        command, path, version = words
+        match = _VERSION.fullmatch(version)
+        if match is None:
+            self.send_error(400, f"Bad request version ({version!r})")
+            return False
+        number = int(match[1]), int(match[2])
+        if number >= (2, 0):
+            self.send_error(505, f"Invalid HTTP version ({version[5:]})")
             return False
         if path.startswith("//"):  # a client would read it as another host
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
         try:
             self.headers = HeaderFields(self.rfile)
-        except HeaderBlockTooLarge as exc:
-            self.send_error(431, str(exc))
+        except BadHeaderBlock as exc:
+            self.send_error(exc.status, str(exc))
             return False
         connection = self.headers.get("Connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive":
-            self.close_connection = False
-        if (self.headers.get("Expect", "").lower() == "100-continue"
-                and self.request_version >= "HTTP/1.1"):
+        self.close_connection = (connection == "close" if number >= (1, 1)
+                                 else connection != "keep-alive")
+        if self.headers.get("Expect", "").lower() == "100-continue" and number >= (1, 1):
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
     def send_error(self, code: int, message: Optional[str] = None, explain=None):
         """Answer a request refused before its route, whether for its request
-        line, its header block or its method, as a route answers an error:
-        JSON with the epoch. The connection then closes."""
-        code = int(code)
+        line, its header block or its method, as a route answers an error.
+        The connection then closes."""
         message = message or self.responses[code][0]
         self.log_error("code %d, message %s", code, message)
         self.close_connection = True
-        self._respond(code, _json_bytes({"error": message}), JSON_TYPE, self.service.epoch,
-                      closing=True)
+        self._error(int(code), message)
 
-    def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int,
-                 closing: bool = False):
+    def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int):
         """Put the whole response on the wire in one send. Sent in two, the
         body would wait on a kept-alive connection until the client's delayed
-        ACK of the headers (Nagle's algorithm), about 40 ms. `closing` adds
-        `Connection: close`, where `http.server`'s `send_error` put it."""
+        ACK of the headers (Nagle's algorithm), about 40 ms. A response after
+        which the connection closes says so (RFC 9112 §9.6)."""
         size = len(body) if isinstance(body, bytes) else body.size
         self.log_request(status)
-        head = b""  # an HTTP/0.9 answer is the body alone
-        if self.request_version != "HTTP/0.9":
-            connection = "Connection: close\r\n" if closing else ""
-            head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-                    f"Server: {self.version_string()}\r\nDate: {_http_date()}\r\n{connection}"
-                    f"Content-Type: {content_type}\r\nContent-Length: {size}\r\n"
-                    f"{EPOCH_HEADER}: {epoch}\r\n\r\n").encode("latin-1")
+        connection = "Connection: close\r\n" if self.close_connection else ""
+        head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+                f"Server: matpub\r\nDate: {_http_date()}\r\n{connection}"
+                f"Content-Type: {content_type}\r\nContent-Length: {size}\r\n"
+                f"{EPOCH_HEADER}: {epoch}\r\n\r\n").encode("latin-1")
         try:
             if self.command == "HEAD":  # a HEAD gets the GET's headers only
                 self.connection.sendall(head)
@@ -431,8 +410,8 @@ class ResolverHandler(BaseHTTPRequestHandler):
     def _json(self, status: int, doc, epoch: int):
         self._respond(status, _json_bytes(doc), JSON_TYPE, epoch)
 
-    def _error(self, status: int, message: str, epoch: int, **extra):
-        self._json(status, {"error": message, **extra}, epoch)
+    def _error(self, status: int, message: str, **extra):
+        self._json(status, {"error": message, **extra}, self.service.epoch)
 
     # -- routes --------------------------------------------------------------
 
@@ -443,14 +422,13 @@ class ResolverHandler(BaseHTTPRequestHandler):
         elif url.path == "/api/search":
             self._get_search(url.query)
         else:
-            self._error(404, f"no such path {url.path!r}", self.service.epoch)
+            self._error(404, f"no such path {url.path!r}")
 
     do_HEAD = do_GET
 
     def _get_page(self, heuristic: str, raw_query: str):
-        epoch = self.service.epoch
         if heuristic not in HEURISTIC_NAMES:
-            self._error(404, f"unknown heuristic {heuristic!r}", epoch)
+            self._error(404, f"unknown heuristic {heuristic!r}")
             return
         try:
             query = _parse_query(raw_query)
@@ -461,19 +439,19 @@ class ResolverHandler(BaseHTTPRequestHandler):
             body, epoch = (self.service.page_html(heuristic, *_parse_paging(query)) if query
                            else self.service.bulk_page(heuristic))
         except BadSearchRequest as exc:
-            self._error(400, str(exc), epoch, offender=exc.offender)
+            self._error(400, str(exc), offender=exc.offender)
             return
         except MaterializationCapExceeded as exc:
-            self._error(422, str(exc), epoch, count=exc.count, cap=exc.cap)
+            self._error(422, str(exc), count=exc.count, cap=exc.cap)
             return
         except NoAvailableVariation as exc:
-            self._error(422, str(exc), epoch)
+            self._error(422, str(exc))
             return
         except PageNotFound as exc:
-            self._error(404, str(exc), epoch)
+            self._error(404, str(exc))
             return
         except OSError as exc:
-            self._error(503, f"page could not be stored: {exc}", epoch)
+            self._error(503, f"page could not be stored: {exc}")
             return
         self._respond(200, body, "text/html; charset=utf-8", epoch)
 
@@ -483,7 +461,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
             page, per_page = _parse_paging(query)
             offers, total, epoch = self.service.search(query, page, per_page)
         except BadSearchRequest as exc:
-            self._error(400, str(exc), self.service.epoch, offender=exc.offender)
+            self._error(400, str(exc), offender=exc.offender)
             return
         self._json(200, {"offers": offers, "total_count": total,
                          "page": page, "per_page": per_page}, epoch)
@@ -491,7 +469,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         url = urlparse(self.path)
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = parse_integer(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
         refusal = ((411, "a request body needs Content-Length, not Transfer-Encoding")
@@ -501,19 +479,19 @@ class ResolverHandler(BaseHTTPRequestHandler):
                    if length > MAX_BODY_BYTES else None)
         if refusal is not None:
             self.close_connection = True  # the body stays unread
-            self._error(*refusal, self.service.epoch)
+            self._error(*refusal)
             return
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
         except (ValueError, json.JSONDecodeError):
-            self._error(400, "malformed JSON body", self.service.epoch)
+            self._error(400, "malformed JSON body")
             return
         if url.path == "/api/book":
             canonical_id = body.get("canonical_id")
             if not isinstance(canonical_id, str) or not canonical_id:
-                self._error(400, "canonical_id (string) required", self.service.epoch)
+                self._error(400, "canonical_id (string) required")
                 return
             result = self.service.book(canonical_id)
             self._json(200, {"status": result.status,
@@ -523,11 +501,11 @@ class ResolverHandler(BaseHTTPRequestHandler):
             try:
                 epoch = self.service.reset(body.get("seed"))
             except CatalogError as exc:
-                self._error(400, str(exc), self.service.epoch)
+                self._error(400, str(exc))
                 return
             self._json(200, {"epoch": epoch}, epoch)
         else:
-            self._error(404, f"no such path {url.path!r}", self.service.epoch)
+            self._error(404, f"no such path {url.path!r}")
 
 
 class ResolverServer(HTTPServer):

@@ -248,6 +248,35 @@ class TestDimensionDef:
 
 
 class TestLoadingAndResizing:
+    # A number in a catalog file follows the config rule: an integer is a
+    # JSON integer or a string of digits, never a bool or a float, and the
+    # availability rate is a JSON number that is not a bool. An unknown kind
+    # and a start that is no date are refused the same way.
+    @pytest.mark.parametrize("path, value", [
+        (("inventory", "seed"), True),
+        (("inventory", "seed"), 42.7),
+        (("inventory", "availability_rate"), True),
+        (("inventory", "availability_rate"), "1.0"),
+        (("dimensions", 3, "values", "count"), 365.9),
+        (("dimensions", 3, "values", "count"), True),
+        (("dimensions", 4, "values", "start"), 1.5),
+        (("dimensions", 4, "values", "step"), 1.0),
+        (("dimensions", 4, "values", "step"), True),
+        (("dimensions", 0, "kind"), "bogus"),
+        (("dimensions", 3, "values", "start"), "2026-13-01"),
+    ], ids=["seed-true", "seed-float", "rate-true", "rate-string", "count-float",
+            "count-true", "ordinal-start-float", "step-float", "step-true", "unknown-kind",
+            "temporal-start-not-a-date"])
+    def test_malformed_field_rejected(self, path, value):
+        doc = json.loads(EVAL_HOTEL_PATH.read_text(encoding="utf-8"))
+        *parents, key = path
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        with pytest.raises(CatalogError):
+            catalog_from_dict(doc)
+
     def test_temporal_pre_expansion(self):
         c = load_catalog(EVAL_HOTEL_PATH)
         arrival = c.dimension("arrival")

@@ -150,6 +150,18 @@ class TestLoadConfig:
         assert len(err) == 1 and err[0].startswith(f"cannot bind 127.0.0.1:{port}: "), err
 
 
+    def test_catalog_seed_that_is_not_an_integer_is_exit_1(self, workdir, capsys):
+        """Refused when the config is loaded: the host is no local address,
+        so a catalog that loaded would end in `cannot bind` instead."""
+        catalog = json.loads((workdir / "catalog.json").read_text())
+        catalog["inventory"]["seed"] = True
+        (workdir / "catalog.json").write_text(json.dumps(catalog))
+        config = write_config(workdir, server={"host": "192.0.2.1", "port": 0})
+        assert main(["serve", "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: invalid catalog"), err
+
+
 class TestGenerate:
     def run(self, workdir, heuristic, config=None, out="out"):
         return main(["generate", "--config", config or str(workdir / "config.json"),

@@ -314,12 +314,17 @@ class TestOneSend:
         assert "Content-Length" in json.loads(body)["error"]
         assert epoch == 0
 
-    def test_http_0_9_gets_the_body_alone(self, hotel10):
+    def test_request_line_without_version_gets_a_status_line(self, hotel10):
+        """No HTTP/0.9: a request line of two words is one 400 with a status
+        line and a JSON error, and the connection closes."""
         with live_server(hotel10) as service:
             with socket.create_connection(address(service), timeout=30) as sock:
                 sock.sendall(b"GET /page/abstraction\r\n\r\n")
                 data = read_until_closed(sock)
-            assert data == reference_page(service, "abstraction")
+        [(status, fields, body)] = self.responses(data, ["GET"])
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert fields["Connection"] == "close"
+        assert list(json.loads(body)) == ["error"]
 
 
 BOOKING = json.dumps({"canonical_id": next(enumerate_variations(eval_hotel_n(10))).canonical_id})
@@ -357,14 +362,16 @@ def book_request(*fields, body=BOOKING.encode()):
                       b"Content-Type: application/json", *fields) + body
 
 
-class TestRequestLayer:
-    """The request line and header block are read as `http.server` reads
-    them; only a bad or unsupported version is answered with a status line
-    where `http.server` answered it as HTTP/0.9. Every refusal is JSON with
-    the epoch, and one made before the route also says that it closes."""
+# A whole booking request, sent as the body of another: a server that lost
+# the outer request's Content-Length would read it as a second request.
+SMUGGLED = book_request(b"Content-Length: %d" % len(BOOKING))
 
-    # Refused by `parse_request` or for the method, before any route.
-    REQUEST_LEVEL = {400, 414, 431, 501, 505}
+
+class TestRequestLayer:
+    """The request line and header block are read by RFC 9112's grammar.
+    Every refusal is JSON with the epoch, and every answer after which the
+    server closes the connection says so."""
+
     # (request, whether the server closes after it, the statuses it answers)
     CASES = {
         "lower-case-content-length": (
@@ -387,6 +394,8 @@ class TestRequestLayer:
         "expect-100-continue": (book_request(b"Expect: 100-continue",
                                              b"Content-Length: %d" % len(BOOKING)),
                                 False, [100, 200]),
+        "content-length-plus-sign": (book_request(b"Content-Length: +%d" % len(BOOKING)),
+                                     True, [400]),
         "first-content-length-wins": (
             book_request(b"Content-Length: %d" % len(BOOKING), b"Content-Length: 5"),
             False, [200]),
@@ -396,6 +405,27 @@ class TestRequestLayer:
         "version-2.0": (head_block(b"GET /api/search HTTP/2.0"), True, [505]),
         "version-12.3": (head_block(b"GET /api/search HTTP/12.3"), True, [505]),
         "four-words": (head_block(b"GET /api/search extra HTTP/1.1"), True, [400]),
+        # A line that is not a field line is refused, and nothing after it
+        # is read: neither the body nor a request smuggled in it.
+        "space-before-colon": (
+            book_request(b"Content-Length : %d" % len(SMUGGLED), body=SMUGGLED), True, [400]),
+        "nameless-line": (
+            book_request(b": x", b"Content-Length: %d" % len(SMUGGLED), body=SMUGGLED),
+            True, [400]),
+        "line-without-colon": (
+            book_request(b"no colon", b"Content-Length: %d" % len(SMUGGLED), body=SMUGGLED),
+            True, [400]),
+        "folded-line": (book_request(b"X-Folded: a", b" b", b"Content-Length: %d" % len(BOOKING)),
+                        True, [400]),
+        "from-line": (book_request(b"From x", b"Content-Length: %d" % len(BOOKING)), True, [400]),
+        "whitespace-before-first-field": (
+            head_block(b"POST /api/book HTTP/1.1", b" Host: x", b"Content-Type: application/json",
+                       b"Content-Length: %d" % len(BOOKING)) + BOOKING.encode(),
+            True, [400]),
+        "leading-crlf": (b"\r\n" + head_block(b"GET /api/search?per_page=1 HTTP/1.1", b"Host: x"),
+                         False, [200]),
+        "leading-crlf-then-70000-byte-request-line": (
+            b"\r\n" + head_block(b"GET /api/search?" + b"a" * 70_000 + b" HTTP/1.1"), True, [414]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -416,16 +446,17 @@ class TestRequestLayer:
             assert fields["content-type"] == "application/json; charset=utf-8"
             assert fields[EPOCH_HEADER.lower()] == "1"
             assert list(json.loads(body)) == ["error"]
-        if status in self.REQUEST_LEVEL:
-            assert fields["connection"] == "close"
+        # Only the last answer, the one before the server closes, says so.
+        assert [fields.get("connection") for _, fields, _ in answers] == \
+            [None] * (len(answers) - 1) + ["close"]
 
-    @pytest.mark.parametrize("request_line", [b"GET", b"POST /api/book"])
-    def test_request_line_without_version_is_answered_as_http_0_9(self, hotel10, request_line):
+    @pytest.mark.parametrize("request_line", [b"GET", b"POST /api/book"], ids=["GET", "POST"])
+    def test_request_line_without_version_is_400(self, hotel10, request_line):
         with live_server(hotel10) as service:
-            with socket.create_connection(address(service), timeout=30) as sock:
-                sock.sendall(head_block(request_line))
-                data = read_until_closed(sock)
-        assert list(json.loads(data)) == ["error"]
+            [(status, fields, body)] = exchange(service, head_block(request_line),
+                                                follow_up=False)
+        assert (status, fields["connection"]) == (400, "close")
+        assert list(json.loads(body)) == ["error"]
 
     def test_header_block_too_large_by_lines_counts_the_blank_line(self, hotel10):
         """As in `http.client`: 99 fields pass, 100 are one line too many."""
@@ -439,28 +470,47 @@ class TestRequestLayer:
 
 
 FIELD_NAMES = [b"Connection", b"connection", b"CONTENT-LENGTH", b"Content-Length",
-               b"Expect", b"Transfer-Encoding", b"X-\xe9"]
-field_value = st.text(alphabet=" \t:a5\x0c\x85\xe9", max_size=6).map(
+               b"Expect", b"Transfer-Encoding", b"X-!#$%&'*+.^_`|~09"]
+field_value = st.text(alphabet=" \t:a5\x01\x0c\x85\xe9", max_size=6).map(
     lambda text: text.encode("latin-1"))
-header_line = st.one_of(
-    st.builds(lambda name, colon, value: name + colon + value,
-              st.sampled_from(FIELD_NAMES), st.sampled_from([b":", b": ", b":\t", b" :"]),
-              field_value),
-    st.builds(bytes.__add__, st.sampled_from([b" ", b"\t"]), field_value),  # a continuation
-    st.sampled_from([b"From x", b": no name", b"no colon", b"Bad Name: x", b"\x85X: x"]),
+field_line = st.builds(lambda name, colon, value: name + colon + value,
+                       st.sampled_from(FIELD_NAMES), st.sampled_from([b":", b": ", b":\t"]),
+                       field_value)
+malformed_line = st.one_of(
+    st.builds(bytes.__add__, st.sampled_from([b" ", b"\t"]), field_value),  # a folded line
+    st.sampled_from([b"From x", b": no name", b"no colon", b"Bad Name: x", b"\x85X: x",
+                     b"X-\xe9: x", b"Name : x", b"Name\t: x", b"X: a\rb", b"X: a\0b", b"X: a\r"]),
 )
+field_lines = st.lists(st.tuples(field_line, st.sampled_from([b"\r\n", b"\n"])), max_size=8)
+
+
+def header_block(lines):
+    return b"".join(line + end for line, end in lines) + b"\r\n"
 
 
 @settings(max_examples=400, deadline=None)
-@given(lines=st.lists(st.tuples(header_line, st.sampled_from([b"\r\n", b"\n"])), max_size=8))
+@given(lines=field_lines)
 def test_header_fields_read_as_the_email_parser_reads_them(lines):
     """`HeaderFields` against `http.client.parse_headers`, the reader it
-    replaced, on blocks free of a bare carriage return."""
-    block = b"".join(line + end for line, end in lines) + b"\r\n"
+    replaced, on blocks of field lines only. The oracle keeps the spaces and
+    tabs after a value, which are not part of it (RFC 9112 §5.1)."""
+    block = header_block(lines)
     fields = resolver.HeaderFields(io.BytesIO(block))
     message = http.client.parse_headers(io.BytesIO(block))
-    for name in {name.decode("latin-1") for name in FIELD_NAMES} | {"From", "Bad Name"}:
-        assert (fields.get(name), name in fields) == (message.get(name), name in message)
+    for name in {name.decode("latin-1") for name in FIELD_NAMES}:
+        value = message.get(name)
+        assert (fields.get(name), name in fields) == \
+            (value and value.rstrip(" \t"), name in message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(before=field_lines, line=malformed_line, after=field_lines)
+def test_a_malformed_header_line_is_a_400(before, line, after):
+    """Any line in the block that is not a field line refuses the block,
+    wherever it stands."""
+    with pytest.raises(resolver.BadHeaderBlock) as refusal:
+        resolver.HeaderFields(io.BytesIO(header_block(before + [(line, b"\r\n")] + after)))
+    assert refusal.value.status == 400
 
 
 def test_bind_failure_raises_os_error(hotel10):
