@@ -3,18 +3,20 @@ follows embedded search actions, and resolves a desired variation to a concrete
 bookable offer, recording every round trip."""
 from __future__ import annotations
 
-import http.client
 import json
 import re
+import socket
+import ssl
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Tuple
-from urllib.parse import urlencode, urlparse, urlsplit
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
+from urllib.parse import SplitResult, urlencode, urlparse, urlsplit
 
 from .annotate import PageScanner
-from .catalog import ProductCatalog, Value
+from .catalog import ProductCatalog, Value, parse_integer
+from .resolver import MAX_LINE_BYTES, BadHeaderBlock, HeaderFields
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 0.1
@@ -174,49 +176,199 @@ def extract_annotations(page: bytes) -> Tuple[List[ParsedAnnotation], List[str]]
     return parsed, warnings
 
 
+class AnnotationIndex:
+    """A page's annotations indexed for `Client.resolve`, built once per
+    page. Concrete annotations are keyed by their fixed assignment; action
+    annotations are grouped by the names they require, most names first,
+    and keyed within a group by the values required. A query is a catalog
+    assignment, so its values are hashable: an annotation with an unhashable
+    value where a key needs it matches no query and is left out of that key."""
+
+    def __init__(self, annotations: List[ParsedAnnotation]):
+        self._concrete: Dict[frozenset, ParsedAnnotation] = {}
+        groups: Dict[Tuple[str, ...], Dict[tuple, Tuple[int, ParsedAnnotation]]] = {}
+        for position, annotation in enumerate(annotations):
+            # The first on the page wins a key.
+            if not annotation.ranges:
+                try:
+                    self._concrete.setdefault(frozenset(annotation.fixed.items()), annotation)
+                except TypeError:
+                    pass
+            if annotation.action is not None:
+                names = tuple(sorted(annotation.required))
+                values = tuple(annotation.required[name] for name in names)
+                try:
+                    groups.setdefault(names, {}).setdefault(values, (position, annotation))
+                except TypeError:
+                    pass
+        self._groups = sorted(groups.items(), key=lambda group: -len(group[0]))
+
+    def concrete(self, desired: Dict[str, Value]) -> Optional[ParsedAnnotation]:
+        """The first annotation that publishes exactly `desired`, if any."""
+        return self._concrete.get(frozenset(desired.items()))
+
+    def action(self, desired: Dict[str, Value]) -> Optional[ParsedAnnotation]:
+        """The action annotation whose required values `desired` has (a name
+        it lacks reads as None) that requires the most names, the first on
+        the page among equals."""
+        best: Optional[Tuple[int, ParsedAnnotation]] = None
+        best_names = 0
+        for names, table in self._groups:
+            if len(names) < best_names:
+                break
+            hit = table.get(tuple(desired.get(name) for name in names))
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best, best_names = hit, len(names)
+        return best[1] if best is not None else None
+
+
 # ---------------------------------------------------------------------------
 # HTTP with bounded retries (connection failures only; empty results are signal)
+
+# A status line (RFC 9112 §4); its reason phrase may be empty or missing.
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([0-9]{3})(?: [^\r\n]*)?\r?\n")
+# A chunk's size line (RFC 9112 §7.1): hex digits, then any extensions.
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
+# What a request line and a Host field may hold: printable ASCII, no space.
+_URL_PART = re.compile(r"[!-~]+")
+
+
+class BadResponse(Exception):
+    """A request that got no well-formed answer: its URL names no server
+    to connect to, the answer breaks HTTP/1.1's framing, or the connection
+    ended before the answer did. Retried as a connection failure is."""
+
 
 class Session:
     """One HTTP/1.1 connection, opened on first use and kept alive across
     requests to the same server. A response that ends the connection
-    (`will_close`), a request to another server and a failed request each
-    drop it, and the next request opens a new one. Not thread-safe: one
-    session serves one thread at a time."""
+    (`Connection: close`, or a body that runs to the close), a request to
+    another server and a failed request each drop it, and the next request
+    opens a new one. Not thread-safe: one session serves one thread at a
+    time."""
 
     def __init__(self):
-        self._connection: Optional[http.client.HTTPConnection] = None
+        self._socket: Optional[socket.socket] = None
+        self._rfile: Optional[BinaryIO] = None
         self._origin: Optional[Tuple[str, str]] = None
 
     def request(self, method: str, url: str, body: Optional[bytes] = None,
                 headers: Optional[Dict[str, str]] = None) -> Tuple[int, bytes]:
-        """Send one request and read the whole answer: (status, body)."""
+        """Send one request in one write, with `Host`, `Accept-Encoding:
+        identity` and, for a body, `Content-Length`, and read the whole
+        answer: (status, body)."""
         parts = urlsplit(url)
-        origin = (parts.scheme, parts.netloc)
-        if self._connection is None or origin != self._origin:
-            self.close()
-            factory = (http.client.HTTPSConnection if parts.scheme == "https"
-                       else http.client.HTTPConnection)
-            self._connection = factory(parts.netloc, timeout=TIMEOUT_S)
-            self._origin = origin
         target = parts.path or "/"
         if parts.query:
             target += "?" + parts.query
+        head = [f"{method} {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+                "Accept-Encoding: identity\r\n"]
+        if body is not None:
+            head.append(f"Content-Length: {len(body)}\r\n")
+        head.extend(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
+        head.append("\r\n")
         try:
-            self._connection.request(method, target, body=body, headers=headers or {})
-            response = self._connection.getresponse()
-            content = response.read()
+            if not (_URL_PART.fullmatch(target) and _URL_PART.fullmatch(parts.netloc)):
+                raise BadResponse(f"no request can be sent for {url!r}")
+            origin = (parts.scheme, parts.netloc)
+            if self._socket is None or origin != self._origin:
+                self.close()
+                self._connect(parts)
+                self._origin = origin
+            self._socket.sendall("".join(head).encode("ascii") + (body or b""))
+            status, content, closes = self._read_response(method)
         except BaseException:
             self.close()
             raise
-        if response.will_close:
+        if closes:
             self.close()
-        return response.status, content
+        return status, content
+
+    def _connect(self, parts: SplitResult):
+        try:
+            port = parts.port or (443 if parts.scheme == "https" else 80)
+        except ValueError as exc:
+            raise BadResponse(f"bad port in {parts.netloc!r}") from exc
+        host = parts.hostname or ""
+        sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if parts.scheme == "https":
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+            self._rfile = sock.makefile("rb")
+        except BaseException:
+            sock.close()
+            raise
+        self._socket = sock
+
+    def _read_response(self, method: str) -> Tuple[int, bytes, bool]:
+        """(status, body, whether the connection ends) of the final answer,
+        framed by RFC 9112 §6.3. Interim 1xx answers are skipped."""
+        rfile = self._rfile
+        status = 100
+        while 100 <= status < 200:
+            line = rfile.readline(MAX_LINE_BYTES + 1)
+            match = _STATUS_LINE.fullmatch(line)
+            if match is None:
+                raise BadResponse(f"malformed status line {line[:64]!r}" if line else
+                                  "connection closed before an answer")
+            try:
+                fields = HeaderFields(rfile)
+            except BadHeaderBlock as exc:
+                raise BadResponse(f"malformed head: {exc}") from exc
+            status = int(match[2])
+        connection = fields.get("Connection", "").lower()
+        closes = ("close" in connection if match[1] != b"0"
+                  else "keep-alive" not in connection)
+        if method == "HEAD" or status in (204, 304):
+            return status, b"", closes
+        coding = fields.get("Transfer-Encoding")
+        if coding is not None:
+            if coding.rsplit(",", 1)[-1].strip(" \t").lower() == "chunked":
+                return status, _read_chunked(rfile), closes
+            return status, rfile.read(), True  # any other coding runs to the close
+        length = fields.get("Content-Length")
+        if length is None:
+            return status, rfile.read(), True
+        try:
+            size = parse_integer(length)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise BadResponse(f"malformed Content-Length {length[:64]!r}")
+        content = rfile.read(size)
+        if len(content) < size:
+            raise BadResponse(f"answer ended {size - len(content)} bytes short "
+                              f"of its Content-Length {size}")
+        return status, content, closes
 
     def close(self):
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._socket is not None:
+            self._rfile.close()
+            self._socket.close()
+            self._socket = self._rfile = None
+
+
+def _read_chunked(rfile: BinaryIO) -> bytes:
+    """A chunked body (RFC 9112 §7.1) up to the end of its trailer section,
+    which is read and dropped."""
+    chunks = []
+    while True:
+        match = _CHUNK_SIZE.fullmatch(rfile.readline(MAX_LINE_BYTES + 1))
+        if match is None:
+            raise BadResponse("malformed chunk size line")
+        size = int(match[1], 16)
+        if size == 0:
+            break
+        chunk = rfile.read(size)
+        if len(chunk) < size or rfile.readline(3) not in (b"\r\n", b"\n"):
+            raise BadResponse("chunk shorter than its size")
+        chunks.append(chunk)
+    try:
+        HeaderFields(rfile)
+    except BadHeaderBlock as exc:
+        raise BadResponse(f"malformed trailer section: {exc}") from exc
+    return b"".join(chunks)
 
 
 def _request_with_retry(session: Session, method: str, url: str,
@@ -233,7 +385,7 @@ def _request_with_retry(session: Session, method: str, url: str,
     for attempt in range(RETRY_ATTEMPTS):
         try:
             status, content = session.request(method, url, body=body, headers=headers)
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, BadResponse) as exc:
             if attempt == RETRY_ATTEMPTS - 1:
                 raise TransportError(f"{method} {url} failed after "
                                      f"{RETRY_ATTEMPTS} attempts: {exc!r}") from exc
@@ -320,31 +472,29 @@ class Client:
 
     def resolve(self, page_url: str, desired: Dict[str, Value],
                 book: bool = False,
-                annotations: Optional[List[ParsedAnnotation]] = None) -> ResolutionTrace:
+                annotations: Union[AnnotationIndex, List[ParsedAnnotation], None] = None
+                ) -> ResolutionTrace:
         """Resolve a fully specified desired assignment against a published
-        page: prefer an exactly matching concrete annotation (verified with a
-        point search), otherwise follow the most specific consistent
-        annotation's search action. A point query with zero results is a dead
-        end: the variation is not available."""
+        page, fetched unless its annotations are given: prefer an exactly
+        matching concrete annotation (verified with a point search),
+        otherwise follow the most specific consistent annotation's search
+        action. A point query with zero results is a dead end: the variation
+        is not available."""
         heuristic = urlparse(page_url).path.rstrip("/").rsplit("/", 1)[-1]
         trace = ResolutionTrace(heuristic=heuristic, query=dict(desired))
         if annotations is None:
             annotations, _ = extract_annotations(self.fetch_page(page_url))
+        index = (annotations if isinstance(annotations, AnnotationIndex)
+                 else AnnotationIndex(annotations))
 
-        concrete = next((a for a in annotations
-                         if not a.ranges and a.fixed == desired), None)
-        if concrete is not None:
+        if index.concrete(desired) is not None:
             # Verify the published claim with a point query.
             url = f"{_api_base(page_url)}/api/search?{urlencode(sorted(desired.items()))}"
             doc = self._search_step(trace, url)
             offer = next((o for o in doc.get("offers", [])
                           if o.get("assignments") == desired), None)
         else:
-            # Follow the action of the most specific consistent annotation,
-            # the first on the page among equals.
-            chosen = max((a for a in annotations if a.action is not None
-                          and all(desired.get(k) == v for k, v in a.required.items())),
-                         key=lambda a: len(a.required), default=None)
+            chosen = index.action(desired)
             if chosen is None:
                 return trace  # dead_end, zero api calls: pathological page
             base = _expand_template(chosen.action.target_template,
@@ -389,6 +539,7 @@ def hit_ratio_experiment(page_url: str, catalog: ProductCatalog, n_queries: int,
         annotations, _ = extract_annotations(page_client.fetch_page(page_url))
     finally:
         page_client.close()
+    index = AnnotationIndex(annotations)
 
     def one(desired):
         # Each query gets its own client, and so its own connection for its
@@ -396,7 +547,7 @@ def hit_ratio_experiment(page_url: str, catalog: ProductCatalog, n_queries: int,
         # shared between threads.
         client = Client()
         try:
-            return client.resolve(page_url, desired, book=book, annotations=annotations)
+            return client.resolve(page_url, desired, book=book, annotations=index)
         finally:
             client.close()
 

@@ -252,7 +252,7 @@ def _json_bytes(doc) -> bytes:
 
 class BadHeaderBlock(ValueError):
     """A header block refused with `status`: 431 past a limit, 400 for a
-    line that is not a field line."""
+    line that is not a field line or for conflicting `Content-Length`s."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
@@ -268,17 +268,20 @@ _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 class HeaderFields:
-    """A request's header fields read in one pass. Every line up to the
-    blank one is a field line; names are matched without regard to case,
-    and the first field of a name wins."""
+    """A message's header fields read in one pass: a request's for the
+    server, a response's for `consumer.Session`. Every line up to the blank
+    one is a field line; names are matched without regard to case, and the
+    first field of a name wins."""
 
     __slots__ = ("_values",)
 
     def __init__(self, rfile: BinaryIO):
         """Read the block up to the blank line that ends it, or to the end
-        of the stream. Raises BadHeaderBlock past the limits, or for a line
-        that is not a field line: a folded one, or one with whitespace before
-        its colon or without a name."""
+        of the stream. Raises BadHeaderBlock past the limits, for a line
+        that is not a field line (a folded one, or one with whitespace
+        before its colon or without a name), and for `Content-Length`
+        fields of different values, which would frame the body two ways
+        (RFC 9112 §6.3)."""
         values: Dict[str, str] = {}
         for _ in range(MAX_HEADER_LINES):
             line = rfile.readline(MAX_LINE_BYTES + 1)
@@ -291,7 +294,9 @@ class HeaderFields:
             match = _FIELD_LINE.fullmatch(text)
             if match is None:
                 raise BadHeaderBlock(400, f"Malformed header line ({text[:64]!r})")
-            values.setdefault(match[1].lower(), match[2].strip(" \t"))
+            name, value = match[1].lower(), match[2].strip(" \t")
+            if values.setdefault(name, value) != value and name == "content-length":
+                raise BadHeaderBlock(400, "Conflicting Content-Length fields")
         raise BadHeaderBlock(431, "Too many headers")
 
     def get(self, name: str, default=None):
@@ -331,8 +336,9 @@ class ResolverHandler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """Read the request line, method, target and version (RFC 9112 §3),
         after one empty line if one comes first (§2.2), and then the header
-        block. Returns whether the request goes on to its route; when it
-        does not, any answer has been sent."""
+        block, which holds `Host` from HTTP/1.1 on. Returns whether the
+        request goes on to its route; when it does not, any answer has been
+        sent."""
         self.command = None
         self.close_connection = True
         if self.raw_requestline in (b"\r\n", b"\n"):
@@ -364,6 +370,9 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self.headers = HeaderFields(self.rfile)
         except BadHeaderBlock as exc:
             self.send_error(exc.status, str(exc))
+            return False
+        if number >= (1, 1) and "Host" not in self.headers:  # RFC 9112 §3.2
+            self.send_error(400, "An HTTP/1.1 request needs a Host field")
             return False
         connection = self.headers.get("Connection", "").lower()
         self.close_connection = (connection == "close" if number >= (1, 1)

@@ -1,25 +1,35 @@
 import json
 import re
+import socket
+import threading
+from contextlib import contextmanager
 
 import pytest
 import requests
+from hypothesis import given, settings
 
 from matpub import consumer, resolver
 from matpub.annotate import elevate, render_page, serialize
 from matpub.catalog import enumerate_variations
 from matpub.consumer import (
+    RETRY_ATTEMPTS,
+    AnnotationIndex,
     Client,
+    ParsedAction,
+    ParsedAnnotation,
     ResolutionTrace,
     Session,
     TransportError,
     _expand_template,
+    _request_with_retry,
     extract_annotations,
     hit_ratio_experiment,
     resolve,
 )
-from matpub.heuristics import type_level_materialization
+from matpub.heuristics import HEURISTIC_NAMES, HeuristicError, type_level_materialization
+from matpub.resolver import ResolverService
 
-from conftest import eval_hotel_n, live_server, oracle_price
+from conftest import catalog_strategy, eval_hotel_n, live_server, oracle_price
 
 JSONLD_RE = re.compile(
     r'<script type="application/ld\+json">(.*?)</script>', re.S)
@@ -191,6 +201,210 @@ class TestResolve:
     def test_transport_error_after_bounded_retries(self, client):
         with pytest.raises(TransportError):
             client.fetch_page("http://127.0.0.1:1/page/full")
+
+
+class StubServer:
+    """A server on a raw socket that answers the requests it reads, in
+    order, with the given bytes, closing the connection after an answer
+    marked so. It reads request heads only, and records them."""
+
+    def __init__(self, answers):
+        self.answers = list(answers)
+        self.heads = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(30)
+        self.url = "http://127.0.0.1:%d/stub" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        with self._listener:
+            while self.answers:
+                conn, _ = self._listener.accept()
+                self.connections += 1
+                with conn:
+                    data = b""
+                    while self.answers:
+                        while b"\r\n\r\n" not in data:
+                            chunk = conn.recv(4096)
+                            if not chunk:
+                                break
+                            data += chunk
+                        if b"\r\n\r\n" not in data:
+                            break  # the client closed: take the next connection
+                        head, data = data.split(b"\r\n\r\n", 1)
+                        self.heads.append(head)
+                        answer, closes = self.answers.pop(0)
+                        conn.sendall(answer)
+                        if closes:
+                            break
+
+    def join(self):
+        self._thread.join(timeout=30)
+        assert not self._thread.is_alive()
+
+
+@contextmanager
+def stub_session(answers):
+    stub = StubServer(answers)
+    session = Session()
+    try:
+        yield stub, session
+    finally:
+        session.close()
+    stub.join()
+
+
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+class TestSession:
+    """The session frames each answer by RFC 9112 §6.3 on its one connection;
+    a malformed or truncated answer is a failed request."""
+
+    # (method, answer, the (status, body) read, whether the server closes after it)
+    ANSWERS = {
+        "chunked": ("GET", b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                           b"5\r\nhello\r\n7;note=1\r\n, world\r\n0\r\nX-Trailer: 1\r\n\r\n",
+                    (200, b"hello, world"), False),
+        "body-to-close": ("GET", b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nto the close",
+                          (200, b"to the close"), True),
+        "100-continue": ("GET", b"HTTP/1.1 100 Continue\r\n\r\n" + OK, (200, b"ok"), False),
+        "head": ("HEAD", b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n", (200, b""), False),
+        "204": ("GET", b"HTTP/1.1 204 No Content\r\n\r\n", (204, b""), False),
+    }
+
+    @pytest.mark.parametrize("case", list(ANSWERS))
+    def test_answer_is_framed(self, case):
+        """The next answer on the connection is read whole after it: the
+        framing took no byte too many or too few. A body that ran to the
+        close makes the session reconnect."""
+        method, answer, read, closes = self.ANSWERS[case]
+        with stub_session([(answer, closes), (OK, False)]) as (stub, session):
+            assert session.request(method, stub.url) == read
+            assert session.request("GET", stub.url) == (200, b"ok")
+        assert stub.connections == (2 if closes else 1)
+        host = stub.url.split("/")[2].encode()
+        assert stub.heads[0] == (b"%s /stub HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity"
+                                 % (method.encode(), host))
+
+    FAILED = {
+        "short-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", True),
+        "malformed-status-line": (b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\nok", False),
+        "conflicting-content-lengths": (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok", False),
+    }
+
+    @pytest.mark.parametrize("case", list(FAILED))
+    def test_malformed_answer_is_retried_then_transport_error(self, case, monkeypatch):
+        """Each attempt closes the session, so each goes on a new connection,
+        whether or not the server closed the last one."""
+        monkeypatch.setattr(consumer, "RETRY_BACKOFF_S", 0)
+        with stub_session([self.FAILED[case]] * RETRY_ATTEMPTS) as (stub, session):
+            with pytest.raises(TransportError, match=f"after {RETRY_ATTEMPTS} attempts"):
+                _request_with_retry(session, "GET", stub.url)
+        assert stub.connections == len(stub.heads) == RETRY_ATTEMPTS
+
+
+def linear_choice(annotations, desired):
+    """The brute-force oracle: the concrete match and the most specific
+    consistent action, the first on the page among equals, by a scan of
+    the whole page."""
+    concrete = next((a for a in annotations
+                     if not a.ranges and a.fixed == desired), None)
+    action = max((a for a in annotations if a.action is not None
+                  and all(desired.get(k) == v for k, v in a.required.items())),
+                 key=lambda a: len(a.required), default=None)
+    return concrete, action
+
+
+def assert_index_agrees(annotations, queries):
+    index = AnnotationIndex(annotations)
+    for desired in queries:
+        concrete, action = linear_choice(annotations, desired)
+        assert index.concrete(desired) is concrete, desired
+        assert index.action(desired) is action, desired
+
+
+def page_queries(catalog):
+    """Every variation, and each with one dimension left out."""
+    for variation in enumerate_variations(catalog):
+        yield variation.assignments
+        for name in variation.assignments:
+            yield {k: v for k, v in variation.assignments.items() if k != name}
+
+
+def annotation(anchor, fixed, inputs=None, ranges=None):
+    """A hand-written annotation; `inputs` names its action's inputs."""
+    action = None if inputs is None else ParsedAction("http://h/api/search{?a}", list(inputs))
+    required = {k: v for k, v in fixed.items() if k not in (inputs or ())}
+    return ParsedAnnotation(anchor, dict(fixed), dict(ranges or {}), None, None, None,
+                            True, action, required)
+
+
+class TestAnnotationIndex:
+    """The index chooses what a scan of the whole page chooses."""
+
+    @pytest.mark.parametrize("heuristic", HEURISTIC_NAMES)
+    def test_eval_hotel_pages(self, hotel10, heuristic):
+        page, _ = ResolverService(hotel10).page_html(heuristic)
+        annotations, _ = extract_annotations(page)
+        assert_index_agrees(annotations, page_queries(hotel10))
+
+    @settings(max_examples=40, deadline=None)
+    @given(catalog_strategy(max_dims=3, max_len=4))
+    def test_generated_catalog_pages(self, catalog):
+        service = ResolverService(catalog)
+        for heuristic in HEURISTIC_NAMES:
+            try:
+                page, _ = service.page_html(heuristic)
+            except HeuristicError:  # nothing to publish at this rate
+                continue
+            annotations, _ = extract_annotations(page)
+            assert_index_agrees(annotations, page_queries(catalog))
+
+    def test_first_of_equally_specific_actions_wins(self):
+        by_type = annotation("by-type", {"type": "a", "stay": 1}, inputs=["stay"])
+        by_catering = annotation("by-catering", {"catering": "b"}, inputs=[])
+        same_type = annotation("same-type", {"type": "a"}, inputs=[])
+        desired = {"type": "a", "catering": "b", "stay": 2}
+        for page, first in (([by_type, by_catering, same_type], by_type),
+                            ([by_catering, same_type, by_type], by_catering),
+                            ([same_type, by_type], same_type)):
+            assert AnnotationIndex(page).action(desired) is first
+            assert_index_agrees(page, [desired])
+
+    def test_none_fixed_value_matches_a_missing_name(self):
+        page = [annotation("broad", {}, inputs=[]),
+                annotation("none", {"type": "a", "extra": None}, inputs=["stay"],
+                           ranges={"stay": {"values": [1, 2]}}),
+                annotation("concrete-none", {"type": "a", "extra": None})]
+        index = AnnotationIndex(page)
+        assert index.action({"type": "a"}) is page[1]
+        assert index.concrete({"type": "a"}) is None
+        assert index.concrete({"type": "a", "extra": None}) is page[2]
+        assert_index_agrees(page, [{"type": "a"}, {"type": "b"}, {"type": "a", "extra": None}])
+
+    def test_list_valued_fixed_value_matches_no_query(self):
+        """An unhashable value keys nothing, unless it sits on an action
+        input, which the action does not require."""
+        page = [annotation("concrete-list", {"type": ["a"]}),
+                annotation("required-list", {"type": ["a"], "stay": 1}, inputs=[]),
+                annotation("input-list", {"type": ["a"]}, inputs=["type"])]
+        index = AnnotationIndex(page)
+        assert index.concrete({"type": "a"}) is None
+        assert index.action({"type": "a", "stay": 1}) is page[2]
+        assert_index_agrees(page, [{"type": "a"}, {"type": "a", "stay": 1}])
+
+    def test_no_consistent_action_is_a_dead_end_without_calls(self, client):
+        page = [annotation("concrete", {"type": "b"}),
+                annotation("other", {"type": "c"}, inputs=["stay"])]
+        assert_index_agrees(page, [{"type": "a", "stay": 1}])
+        # An unreachable server: any request would be a TransportError.
+        trace = client.resolve("http://127.0.0.1:1/page/selective", {"type": "a", "stay": 1},
+                               annotations=page)
+        assert (trace.outcome, trace.api_calls) == ("dead_end", 0)
 
 
 class TestHttpErrors:

@@ -380,31 +380,46 @@ class TestRequestLayer:
             book_request(b"transfer-encoding: chunked",
                          body=b"%x\r\n%s\r\n0\r\n\r\n" % (len(BOOKING), BOOKING.encode())),
             True, [411]),
-        "120-fields": (head_block(b"GET /api/search HTTP/1.1",
+        "120-fields": (head_block(b"GET /api/search HTTP/1.1", b"Host: x",
                                   *[b"X-Field-%d: %d" % (i, i) for i in range(120)]),
                        True, [431]),
-        "70000-byte-field": (head_block(b"GET /api/search HTTP/1.1", b"X-Long: " + b"a" * 70_000),
+        "70000-byte-field": (head_block(b"GET /api/search HTTP/1.1", b"Host: x",
+                                        b"X-Long: " + b"a" * 70_000),
                              True, [431]),
-        "70000-byte-request-line": (head_block(b"GET /api/search?" + b"a" * 70_000 + b" HTTP/1.1"),
+        "70000-byte-request-line": (head_block(b"GET /api/search?" + b"a" * 70_000 + b" HTTP/1.1",
+                                               b"Host: x"),
                                     True, [414]),
         "put": (head_block(b"PUT /api/book HTTP/1.1", b"Host: x"), True, [501]),
-        "connection-close": (head_block(b"GET /page/abstraction HTTP/1.1", b"Connection: close"),
+        "connection-close": (head_block(b"GET /page/abstraction HTTP/1.1", b"Host: x",
+                                        b"Connection: close"),
                              True, [200]),
         "http-1.0": (head_block(b"GET /page/abstraction HTTP/1.0"), True, [200]),
+        # HTTP/1.1 requires Host (RFC 9112 §3.2); the booking is not read.
+        "no-host": (head_block(b"POST /api/book HTTP/1.1", b"Content-Type: application/json",
+                               b"Content-Length: %d" % len(BOOKING)) + BOOKING.encode(),
+                    True, [400]),
         "expect-100-continue": (book_request(b"Expect: 100-continue",
                                              b"Content-Length: %d" % len(BOOKING)),
                                 False, [100, 200]),
         "content-length-plus-sign": (book_request(b"Content-Length: +%d" % len(BOOKING)),
                                      True, [400]),
-        "first-content-length-wins": (
+        # Content-Length fields of different values frame the body two ways
+        # (RFC 9112 §6.3); repeats of one value do not.
+        "conflicting-content-lengths": (
             book_request(b"Content-Length: %d" % len(BOOKING), b"Content-Length: 5"),
+            True, [400]),
+        "identical-content-lengths": (
+            book_request(b"Content-Length: %d" % len(BOOKING),
+                         b"Content-Length: %d" % len(BOOKING)),
             False, [200]),
-        "bad-version": (head_block(b"GET /api/search HTTP/x"), True, [400]),
-        "three-part-version": (head_block(b"GET /api/search HTTP/1.1.1"), True, [400]),
-        "non-ascii-digit-in-version": (head_block(b"GET /api/search HTTP/\xb2.1"), True, [400]),
-        "version-2.0": (head_block(b"GET /api/search HTTP/2.0"), True, [505]),
-        "version-12.3": (head_block(b"GET /api/search HTTP/12.3"), True, [505]),
-        "four-words": (head_block(b"GET /api/search extra HTTP/1.1"), True, [400]),
+        "bad-version": (head_block(b"GET /api/search HTTP/x", b"Host: x"), True, [400]),
+        "three-part-version": (head_block(b"GET /api/search HTTP/1.1.1", b"Host: x"),
+                               True, [400]),
+        "non-ascii-digit-in-version": (head_block(b"GET /api/search HTTP/\xb2.1", b"Host: x"),
+                                       True, [400]),
+        "version-2.0": (head_block(b"GET /api/search HTTP/2.0", b"Host: x"), True, [505]),
+        "version-12.3": (head_block(b"GET /api/search HTTP/12.3", b"Host: x"), True, [505]),
+        "four-words": (head_block(b"GET /api/search extra HTTP/1.1", b"Host: x"), True, [400]),
         # A line that is not a field line is refused, and nothing after it
         # is read: neither the body nor a request smuggled in it.
         "space-before-colon": (
@@ -425,7 +440,8 @@ class TestRequestLayer:
         "leading-crlf": (b"\r\n" + head_block(b"GET /api/search?per_page=1 HTTP/1.1", b"Host: x"),
                          False, [200]),
         "leading-crlf-then-70000-byte-request-line": (
-            b"\r\n" + head_block(b"GET /api/search?" + b"a" * 70_000 + b" HTTP/1.1"), True, [414]),
+            b"\r\n" + head_block(b"GET /api/search?" + b"a" * 70_000 + b" HTTP/1.1", b"Host: x"),
+            True, [414]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -453,7 +469,7 @@ class TestRequestLayer:
     @pytest.mark.parametrize("request_line", [b"GET", b"POST /api/book"], ids=["GET", "POST"])
     def test_request_line_without_version_is_400(self, hotel10, request_line):
         with live_server(hotel10) as service:
-            [(status, fields, body)] = exchange(service, head_block(request_line),
+            [(status, fields, body)] = exchange(service, head_block(request_line, b"Host: x"),
                                                 follow_up=False)
         assert (status, fields["connection"]) == (400, "close")
         assert list(json.loads(body)) == ["error"]
@@ -462,7 +478,8 @@ class TestRequestLayer:
         """As in `http.client`: 99 fields pass, 100 are one line too many."""
         with live_server(hotel10) as service:
             statuses = [exchange(service, head_block(b"GET /api/search?per_page=1 HTTP/1.1",
-                                                     *[b"X-%d: 1" % i for i in range(n - 1)],
+                                                     b"Host: x",
+                                                     *[b"X-%d: 1" % i for i in range(n - 2)],
                                                      b"Connection: close"),
                                  follow_up=False)[-1][0]
                         for n in (99, 100)]
@@ -493,10 +510,18 @@ def header_block(lines):
 def test_header_fields_read_as_the_email_parser_reads_them(lines):
     """`HeaderFields` against `http.client.parse_headers`, the reader it
     replaced, on blocks of field lines only. The oracle keeps the spaces and
-    tabs after a value, which are not part of it (RFC 9112 §5.1)."""
+    tabs after a value, which are not part of it (RFC 9112 §5.1). Unlike the
+    oracle, `HeaderFields` refuses `Content-Length` fields of different
+    values (§6.3)."""
     block = header_block(lines)
-    fields = resolver.HeaderFields(io.BytesIO(block))
     message = http.client.parse_headers(io.BytesIO(block))
+    lengths = {value.rstrip(" \t") for value in message.get_all("Content-Length", [])}
+    if len(lengths) > 1:
+        with pytest.raises(resolver.BadHeaderBlock) as refusal:
+            resolver.HeaderFields(io.BytesIO(block))
+        assert refusal.value.status == 400
+        return
+    fields = resolver.HeaderFields(io.BytesIO(block))
     for name in {name.decode("latin-1") for name in FIELD_NAMES}:
         value = message.get(name)
         assert (fields.get(name), name in fields) == \
