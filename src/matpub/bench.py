@@ -5,16 +5,15 @@ Emits RFC-4180 CSV."""
 from __future__ import annotations
 
 import csv
-import http.client
 import statistics
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-from urllib.parse import urlsplit
 
 from .annotate import ConformityScanner, annotation_stream, render_page_stream
 from .catalog import Inventory, ProductCatalog, count_variations, resize_dimension
+from .consumer import BadResponse, Session
 from .heuristics import (
     HEURISTIC_NAMES,
     HeuristicPolicies,
@@ -103,21 +102,17 @@ def _publish_pass(catalog: ProductCatalog, heuristic: str,
 
 
 def _serve_once(url: str) -> float:
-    """Seconds to GET `url` on a new connection and read its body through.
-    A connection failure raises OSError or HTTPException; an error status
-    raises HTTPException."""
-    parts = urlsplit(url)
+    """Seconds to GET `url` on a new session and read its body whole. A
+    connection failure raises OSError or BadResponse; an error status raises
+    BenchError."""
     start = time.perf_counter()
-    connection = http.client.HTTPConnection(parts.netloc, timeout=300)
+    session = Session()
     try:
-        connection.request("GET", parts.path)
-        response = connection.getresponse()
-        if not 200 <= response.status < 300:
-            raise http.client.HTTPException(f"GET {url} answered HTTP {response.status}")
-        while response.read(1 << 16):
-            pass
+        status, _ = session.request("GET", url)
     finally:
-        connection.close()
+        session.close()
+    if not 200 <= status < 300:
+        raise BenchError(f"GET {url} answered HTTP {status}")
     return time.perf_counter() - start
 
 
@@ -221,7 +216,7 @@ def _bench_one(catalog_n: ProductCatalog, n: int, heuristic: str,
                     record.serve_time_ms = mean
                     record.serve_time_min_ms = lo
                     record.serve_time_max_ms = hi
-                except (OSError, http.client.HTTPException) as exc:
+                except (OSError, BadResponse, BenchError) as exc:
                     warnings.append(f"{heuristic} n={n}: serve failed ({exc}); "
                                     "serve_time null")
             else:

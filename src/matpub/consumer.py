@@ -15,8 +15,8 @@ from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 from urllib.parse import SplitResult, urlencode, urlparse, urlsplit
 
 from .annotate import PageScanner
-from .catalog import ProductCatalog, Value, parse_integer
-from .resolver import MAX_LINE_BYTES, BadHeaderBlock, HeaderFields
+from .catalog import ProductCatalog, Value
+from .wire import BadResponse, read_response
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 0.1
@@ -225,18 +225,8 @@ class AnnotationIndex:
 # ---------------------------------------------------------------------------
 # HTTP with bounded retries (connection failures only; empty results are signal)
 
-# A status line (RFC 9112 §4); its reason phrase may be empty or missing.
-_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([0-9]{3})(?: [^\r\n]*)?\r?\n")
-# A chunk's size line (RFC 9112 §7.1): hex digits, then any extensions.
-_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 # What a request line and a Host field may hold: printable ASCII, no space.
 _URL_PART = re.compile(r"[!-~]+")
-
-
-class BadResponse(Exception):
-    """A request that got no well-formed answer: its URL names no server
-    to connect to, the answer breaks HTTP/1.1's framing, or the connection
-    ended before the answer did. Retried as a connection failure is."""
 
 
 class Session:
@@ -276,7 +266,7 @@ class Session:
                 self._connect(parts)
                 self._origin = origin
             self._socket.sendall("".join(head).encode("ascii") + (body or b""))
-            status, content, closes = self._read_response(method)
+            status, content, closes = read_response(self._rfile, method)
         except BaseException:
             self.close()
             raise
@@ -301,74 +291,11 @@ class Session:
             raise
         self._socket = sock
 
-    def _read_response(self, method: str) -> Tuple[int, bytes, bool]:
-        """(status, body, whether the connection ends) of the final answer,
-        framed by RFC 9112 §6.3. Interim 1xx answers are skipped."""
-        rfile = self._rfile
-        status = 100
-        while 100 <= status < 200:
-            line = rfile.readline(MAX_LINE_BYTES + 1)
-            match = _STATUS_LINE.fullmatch(line)
-            if match is None:
-                raise BadResponse(f"malformed status line {line[:64]!r}" if line else
-                                  "connection closed before an answer")
-            try:
-                fields = HeaderFields(rfile)
-            except BadHeaderBlock as exc:
-                raise BadResponse(f"malformed head: {exc}") from exc
-            status = int(match[2])
-        connection = fields.get("Connection", "").lower()
-        closes = ("close" in connection if match[1] != b"0"
-                  else "keep-alive" not in connection)
-        if method == "HEAD" or status in (204, 304):
-            return status, b"", closes
-        coding = fields.get("Transfer-Encoding")
-        if coding is not None:
-            if coding.rsplit(",", 1)[-1].strip(" \t").lower() == "chunked":
-                return status, _read_chunked(rfile), closes
-            return status, rfile.read(), True  # any other coding runs to the close
-        length = fields.get("Content-Length")
-        if length is None:
-            return status, rfile.read(), True
-        try:
-            size = parse_integer(length)
-        except ValueError:
-            size = -1
-        if size < 0:
-            raise BadResponse(f"malformed Content-Length {length[:64]!r}")
-        content = rfile.read(size)
-        if len(content) < size:
-            raise BadResponse(f"answer ended {size - len(content)} bytes short "
-                              f"of its Content-Length {size}")
-        return status, content, closes
-
     def close(self):
         if self._socket is not None:
             self._rfile.close()
             self._socket.close()
             self._socket = self._rfile = None
-
-
-def _read_chunked(rfile: BinaryIO) -> bytes:
-    """A chunked body (RFC 9112 §7.1) up to the end of its trailer section,
-    which is read and dropped."""
-    chunks = []
-    while True:
-        match = _CHUNK_SIZE.fullmatch(rfile.readline(MAX_LINE_BYTES + 1))
-        if match is None:
-            raise BadResponse("malformed chunk size line")
-        size = int(match[1], 16)
-        if size == 0:
-            break
-        chunk = rfile.read(size)
-        if len(chunk) < size or rfile.readline(3) not in (b"\r\n", b"\n"):
-            raise BadResponse("chunk shorter than its size")
-        chunks.append(chunk)
-    try:
-        HeaderFields(rfile)
-    except BadHeaderBlock as exc:
-        raise BadResponse(f"malformed trailer section: {exc}") from exc
-    return b"".join(chunks)
 
 
 def _request_with_retry(session: Session, method: str, url: str,

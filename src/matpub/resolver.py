@@ -3,17 +3,16 @@ heuristic and resolves search/book requests against a mutating, epoch-versioned
 in-memory inventory."""
 from __future__ import annotations
 
-import email.utils
+import contextlib
 import json
 import os
 import queue
-import re
 import socket
+import sys
 import threading
-import time
 import weakref
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 from tempfile import TemporaryFile
 from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlparse
@@ -38,17 +37,12 @@ from .heuristics import (
     NoAvailableVariation,
     available_variations,
 )
+from .wire import MAX_BODY_BYTES, MAX_LINE_BYTES, VERSION, BadHeaderBlock, HeaderFields, http_date
 
 EPOCH_HEADER = "X-Inventory-Epoch"
 JSON_TYPE = "application/json; charset=utf-8"
 MAX_PER_PAGE = 200
 DEFAULT_PER_PAGE = 50
-# A booking or reset body is well under 1 KiB.
-MAX_BODY_BYTES = 64 * 1024
-# A request line of more bytes is a 414; a header line of more bytes, or a
-# header block of more lines counting the blank one that ends it, is a 431.
-MAX_LINE_BYTES = 64 * 1024
-MAX_HEADER_LINES = 100
 
 
 class BadSearchRequest(ValueError):
@@ -250,78 +244,14 @@ def _json_bytes(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ": ")).encode("utf-8")
 
 
-class BadHeaderBlock(ValueError):
-    """A header block refused with `status`: 431 past a limit, 400 for a
-    line that is not a field line or for conflicting `Content-Length`s."""
+class ResolverHandler:
+    """One connection's requests, read and answered in turn until it closes.
+    A route, `do_<METHOD>`, answers from `command`, `path`, `headers` and
+    `body`, and may set `close_connection`."""
 
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-
-
-# A field line (RFC 9112 §5.1): a token, a colon, then the value, which holds
-# no CR and no NUL (RFC 9110 §5.5), and CRLF or a bare LF (RFC 9112 §2.2).
-# The spaces and tabs around the value are stripped after the match.
-_FIELD_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\0]*)\r?\n")
-# A request line's version: each part up to ten ASCII digits.
-_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
-
-
-class HeaderFields:
-    """A message's header fields read in one pass: a request's for the
-    server, a response's for `consumer.Session`. Every line up to the blank
-    one is a field line; names are matched without regard to case, and the
-    first field of a name wins."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, rfile: BinaryIO):
-        """Read the block up to the blank line that ends it, or to the end
-        of the stream. Raises BadHeaderBlock past the limits, for a line
-        that is not a field line (a folded one, or one with whitespace
-        before its colon or without a name), and for `Content-Length`
-        fields of different values, which would frame the body two ways
-        (RFC 9112 §6.3)."""
-        values: Dict[str, str] = {}
-        for _ in range(MAX_HEADER_LINES):
-            line = rfile.readline(MAX_LINE_BYTES + 1)
-            if len(line) > MAX_LINE_BYTES:
-                raise BadHeaderBlock(431, "Line too long")
-            if line in (b"\r\n", b"\n", b""):
-                self._values = values
-                return
-            text = line.decode("iso-8859-1")
-            match = _FIELD_LINE.fullmatch(text)
-            if match is None:
-                raise BadHeaderBlock(400, f"Malformed header line ({text[:64]!r})")
-            name, value = match[1].lower(), match[2].strip(" \t")
-            if values.setdefault(name, value) != value and name == "content-length":
-                raise BadHeaderBlock(400, "Conflicting Content-Length fields")
-        raise BadHeaderBlock(431, "Too many headers")
-
-    def get(self, name: str, default=None):
-        return self._values.get(name.lower(), default)
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._values
-
-
-_date = (0, "")  # the second last formatted and its `Date` value
-
-
-def _http_date() -> str:
-    """The `Date` field's value for now, formatted once per second."""
-    global _date
-    now = int(time.time())
-    second, value = _date
-    if second != now:
-        value = email.utils.formatdate(now, usegmt=True)
-        _date = now, value
-    return value
-
-
-class ResolverHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+    def __init__(self, connection: socket.socket, server: ResolverServer):
+        self.connection, self.server = connection, server
+        self.rfile = connection.makefile("rb")
 
     # -- plumbing ------------------------------------------------------------
 
@@ -329,33 +259,49 @@ class ResolverHandler(BaseHTTPRequestHandler):
     def service(self) -> ResolverService:
         return self.server.service
 
-    def log_message(self, fmt, *args):
+    def _log(self, line: str):
         if self.server.log_fn:
-            self.server.log_fn(fmt % args)
+            self.server.log_fn(line)
 
-    def parse_request(self) -> bool:
+    def handle(self):
+        """Read a request, route it, and again while the connection is kept
+        alive."""
+        with self.rfile:
+            self.close_connection = False
+            while not self.close_connection:
+                self.close_connection = True
+                if not self._read_request():
+                    continue
+                route = getattr(self, "do_" + self.command, None)
+                if route is None:
+                    self.send_error(501, f"Unsupported method ({self.command!r})")
+                else:
+                    route()
+
+    def _read_request(self) -> bool:
         """Read the request line, method, target and version (RFC 9112 §3),
-        after one empty line if one comes first (§2.2), and then the header
-        block, which holds `Host` from HTTP/1.1 on. Returns whether the
-        request goes on to its route; when it does not, any answer has been
-        sent."""
-        self.command = None
-        self.close_connection = True
-        if self.raw_requestline in (b"\r\n", b"\n"):
-            self.raw_requestline = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if not self.raw_requestline:
-                return False
-            if len(self.raw_requestline) > MAX_LINE_BYTES:
-                self.requestline = ""
-                self.send_error(414)
-                return False
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        after one empty line if one comes first (§2.2), then the header
+        block, which holds `Host` from HTTP/1.1 on, and then the body. The
+        body is framed by `Content-Length` alone whatever the method (§6.3),
+        so a GET's or HEAD's is read and dropped, never served as the next
+        request. Returns whether the request goes on to its route; when it
+        does not, any answer has been sent, and a refused body stays unread."""
+        self.requestline, self.command = "", None
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if line in (b"\r\n", b"\n"):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            return False
+        if len(line) > MAX_LINE_BYTES:
+            self.send_error(414)
+            return False
+        self.requestline = str(line, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
         if len(words) != 3:
             self.send_error(400, f"Bad request syntax ({self.requestline!r})")
             return False
         command, path, version = words
-        match = _VERSION.fullmatch(version)
+        match = VERSION.fullmatch(version)
         if match is None:
             self.send_error(400, f"Bad request version ({version!r})")
             return False
@@ -378,17 +324,31 @@ class ResolverHandler(BaseHTTPRequestHandler):
         self.close_connection = (connection == "close" if number >= (1, 1)
                                  else connection != "keep-alive")
         if self.headers.get("Expect", "").lower() == "100-continue" and number >= (1, 1):
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        try:
+            length = parse_integer(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        refusal = ((411, "a request body needs Content-Length, not Transfer-Encoding")
+                   if "Transfer-Encoding" in self.headers else
+                   (400, "Content-Length must be a non-negative integer") if length < 0 else
+                   (413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+                   if length > MAX_BODY_BYTES else None)
+        if refusal is not None:
+            self.close_connection = True
+            self._error(*refusal)
+            return False
+        self.body = self.rfile.read(length)
         return True
 
-    def send_error(self, code: int, message: Optional[str] = None, explain=None):
+    def send_error(self, code: int, message: Optional[str] = None):
         """Answer a request refused before its route, whether for its request
         line, its header block or its method, as a route answers an error.
         The connection then closes."""
-        message = message or self.responses[code][0]
-        self.log_error("code %d, message %s", code, message)
+        message = message or HTTPStatus(code).phrase
+        self._log(f"code {code}, message {message}")
         self.close_connection = True
-        self._error(int(code), message)
+        self._error(code, message)
 
     def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int):
         """Put the whole response on the wire in one send. Sent in two, the
@@ -396,10 +356,10 @@ class ResolverHandler(BaseHTTPRequestHandler):
         ACK of the headers (Nagle's algorithm), about 40 ms. A response after
         which the connection closes says so (RFC 9112 §9.6)."""
         size = len(body) if isinstance(body, bytes) else body.size
-        self.log_request(status)
+        self._log(f'"{self.requestline}" {status} -')
         connection = "Connection: close\r\n" if self.close_connection else ""
-        head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-                f"Server: matpub\r\nDate: {_http_date()}\r\n{connection}"
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Server: matpub\r\nDate: {http_date()}\r\n{connection}"
                 f"Content-Type: {content_type}\r\nContent-Length: {size}\r\n"
                 f"{EPOCH_HEADER}: {epoch}\r\n\r\n").encode("latin-1")
         try:
@@ -478,20 +438,7 @@ class ResolverHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         url = urlparse(self.path)
         try:
-            length = parse_integer(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        refusal = ((411, "a request body needs Content-Length, not Transfer-Encoding")
-                   if "Transfer-Encoding" in self.headers else
-                   (400, "Content-Length must be a non-negative integer") if length < 0 else
-                   (413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-                   if length > MAX_BODY_BYTES else None)
-        if refusal is not None:
-            self.close_connection = True  # the body stays unread
-            self._error(*refusal)
-            return
-        try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(self.body or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
         except (ValueError, json.JSONDecodeError):
@@ -517,21 +464,17 @@ class ResolverHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such path {url.path!r}")
 
 
-class ResolverServer(HTTPServer):
-    """One service's server: `make_server` sets the `service` and `log_fn`
-    handlers read. Each open connection has a thread of its own, as under
-    `ThreadingHTTPServer`, but a thread that has finished its connection
-    waits for the next one, and a new thread starts only when none waits.
-    `server_close` ends the waiting threads, and a thread that finishes
-    after it ends too: no thread keeps a closed server, its service and its
-    stored pages alive."""
-    request_queue_size = 128  # survive concurrent client bursts
+class ResolverServer:
+    """One service's listening socket; `make_server` sets the `service` and
+    `log_fn` handlers read. Each open connection has a thread of its own,
+    but a thread that has finished its connection waits for the next one,
+    and a new thread starts only when none waits. `server_close` ends the
+    waiting threads, and a thread that finishes after it ends too: no thread
+    keeps a closed server, its service and its stored pages alive."""
     service: ResolverService
     log_fn: Optional[Callable[[str], None]] = None
 
-    def __init__(self, *args, **kwargs):
-        # Set before binding: a failed bind calls `server_close` from within
-        # `TCPServer.__init__`, and the `OSError` must reach the caller.
+    def __init__(self, address: Tuple[str, int]):
         self._lock = threading.Lock()
         # Under _lock: how many threads wait on `_handoff`, and whether the
         # server is closed. A connection is put on `_handoff` only for a
@@ -539,7 +482,29 @@ class ResolverServer(HTTPServer):
         self._waiting = 0
         self._closed = False
         self._handoff: queue.SimpleQueue = queue.SimpleQueue()
-        super().__init__(*args, **kwargs)
+        self._stopping = False
+        # SO_REUSEADDR, and a backlog to survive concurrent client bursts.
+        self.socket = socket.create_server(address, backlog=128)
+        self.server_address = self.socket.getsockname()
+
+    def serve_forever(self):
+        """Accept connections until `shutdown`."""
+        while not self._stopping:
+            try:
+                request, client_address = self.socket.accept()
+            except OSError:  # the client has gone, or `shutdown` woke the accept
+                continue
+            try:
+                self.process_request(request, client_address)
+            except RuntimeError:  # no thread could be started
+                self.handle_error(request, client_address)
+                request.close()
+
+    def shutdown(self):
+        """Make `serve_forever`, run by another thread, return."""
+        self._stopping = True
+        # A blocked accept fails at once on a socket shut for reading (Linux).
+        self.socket.shutdown(socket.SHUT_RD)
 
     def process_request(self, request, client_address):
         with self._lock:
@@ -556,19 +521,27 @@ class ResolverServer(HTTPServer):
         """Serve connections until the server closes; `None` ends the thread."""
         while request is not None:
             try:
-                self.finish_request(request, client_address)
+                ResolverHandler(request, self).handle()
             except Exception:
                 self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
+            finally:  # send what is left and a FIN, then close
+                with contextlib.suppress(OSError):
+                    request.shutdown(socket.SHUT_WR)
+                request.close()
             with self._lock:
                 if self._closed:
                     return
                 self._waiting += 1
             request, client_address = self._handoff.get()
 
+    def handle_error(self, request: socket.socket, client_address):
+        """Report the exception that ended a connection; the server serves on."""
+        import traceback
+        print(f"Exception while serving {client_address}:", file=sys.stderr)
+        traceback.print_exc()
+
     def server_close(self):
-        super().server_close()
+        self.socket.close()
         with self._lock:
             self._closed = True
             waiting, self._waiting = self._waiting, 0
@@ -580,7 +553,7 @@ def make_server(service: ResolverService, host: str = "127.0.0.1", port: int = 0
                 log_fn: Optional[Callable[[str], None]] = None) -> ResolverServer:
     """Bind a threading HTTP server for the service. With port=0 the OS picks a
     free port; the service's endpoint base is updated to the bound address."""
-    server = ResolverServer((host, port), ResolverHandler)
+    server = ResolverServer((host, port))
     server.service, server.log_fn = service, log_fn
     service.endpoint_base = f"http://{server.server_address[0]}:{server.server_address[1]}"
     return server

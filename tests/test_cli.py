@@ -315,7 +315,8 @@ class TestServeSubprocess:
             assert requests.get(f"{base}/page/bogus", timeout=30).status_code == 404
         finally:
             proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
+            proc.communicate(timeout=10)
+        assert proc.returncode == 0
 
 
 class TestServeImports:
@@ -352,6 +353,35 @@ class TestServeImports:
             out, err = proc.communicate(timeout=10)
         assert proc.returncode == 0, err
         assert out.split() == ["matpub.resolver"]
+
+    def test_server_loads_no_stdlib_http_and_crawler_no_server(self, workdir):
+        """Serving loads none of the standard library's HTTP modules, whose
+        wire format `matpub.wire` owns, and the crawler loads no server."""
+        script = ("import sys\nfrom matpub.cli import main\n"
+                  "code = main(['serve', '--config', sys.argv[1]])\n"
+                  "print(' '.join(m for m in ('http.server', 'socketserver', 'http.client',"
+                  " 'email', 'matpub.resolver') if m in sys.modules))\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.Popen([sys.executable, "-c", script, str(workdir / "config.json")],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=SUBPROCESS_ENV)
+        try:
+            line = proc.stderr.readline()
+            assert "serving on" in line
+            base = line.split("serving on ")[1].split()[0]
+            assert requests.get(f"{base}/page/abstraction", timeout=30).status_code == 200
+            assert requests.post(f"{base}/api/book", json={"canonical_id": "x"},
+                                 timeout=30).status_code == 200
+            assert requests.get(f"{base}/nope", timeout=30).status_code == 404
+        finally:
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+        assert proc.returncode == 0, err
+        assert out.split() == ["matpub.resolver"]
+        done = subprocess.run([sys.executable, "-c", "import matpub.consumer\n" + self.REPORT],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["matpub.consumer"]
 
     def test_crawler_and_bench_load_only_the_standard_library(self):
         script = ("import sys\nbefore = set(sys.modules)\n"

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import matpub.catalog
 import reference_annotate as reference
-from matpub import heuristics, resolver
+from matpub import heuristics, resolver, wire
 from matpub.annotate import PageNotFound
 from matpub.catalog import Inventory, count_variations, enumerate_variations
 from matpub.consumer import extract_annotations
@@ -336,18 +336,21 @@ FOLLOW_UP = (b"GET /api/search?type=normal&catering=breakfast&occupancy=single"
 def exchange(service, request, follow_up):
     """The answers to `request`, sent alone or followed by FOLLOW_UP on the
     same connection, read until the server closes it: (status, fields with
-    lower-case names, body) each, a 100 Continue with no body."""
+    lower-case names, body) each, a 100 Continue and the answer to a HEAD
+    with no body."""
     with socket.create_connection(address(service), timeout=30) as sock:
         sock.sendall(request + (FOLLOW_UP if follow_up else b""))
         data = read_until_closed(sock)
     answers = []
+    head = request.startswith(b"HEAD ")
     while data:
         end = data.index(b"\r\n\r\n") + 4
         lines = data[:end].decode("latin-1").split("\r\n")[:-2]
         fields = {name.lower(): value for name, value in
                   (line.split(": ", 1) for line in lines[1:])}
         status = int(lines[0].split()[1])
-        size = 0 if status == 100 else int(fields["content-length"])
+        size = 0 if status == 100 or head else int(fields["content-length"])
+        head = head and status == 100
         answers.append((status, fields, data[end:end + size]))
         data = data[end + size:]
     return answers
@@ -442,6 +445,25 @@ class TestRequestLayer:
         "leading-crlf-then-70000-byte-request-line": (
             b"\r\n" + head_block(b"GET /api/search?" + b"a" * 70_000 + b" HTTP/1.1", b"Host: x"),
             True, [414]),
+        # Every method's body is framed by Content-Length: a GET's or HEAD's
+        # is read and dropped, never served as the next request.
+        "get-body-holding-a-booking": (
+            head_block(b"GET /api/search?per_page=1 HTTP/1.1", b"Host: x",
+                       b"Content-Length: %d" % len(SMUGGLED)) + SMUGGLED,
+            False, [200]),
+        "head-body-holding-a-booking": (
+            head_block(b"HEAD /api/search?per_page=1 HTTP/1.1", b"Host: x",
+                       b"Content-Length: %d" % len(SMUGGLED)) + SMUGGLED,
+            False, [200]),
+        "chunked-get": (
+            head_block(b"GET /api/search?per_page=1 HTTP/1.1", b"Host: x",
+                       b"Transfer-Encoding: chunked")
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(SMUGGLED), SMUGGLED),
+            True, [411]),
+        "get-body-over-cap": (
+            head_block(b"GET /api/search?per_page=1 HTTP/1.1", b"Host: x",
+                       b"Content-Length: 999999"),
+            True, [413]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -455,8 +477,9 @@ class TestRequestLayer:
             answers = exchange(service, request, follow_up=not closes)
             epoch = service.epoch
         assert [status for status, _, _ in answers] == statuses + ([] if closes else [200])
-        if request.startswith(b"POST"):  # the booking was read whole, or not at all
-            assert epoch == (2 if statuses[-1] == 200 else 1)
+        # The booking was read whole, or not at all; one in another request's
+        # body is never made.
+        assert epoch == (2 if request.startswith(b"POST") and statuses[-1] == 200 else 1)
         status, fields, body = answers[-1]
         if status >= 400:
             assert fields["content-type"] == "application/json; charset=utf-8"
@@ -517,11 +540,11 @@ def test_header_fields_read_as_the_email_parser_reads_them(lines):
     message = http.client.parse_headers(io.BytesIO(block))
     lengths = {value.rstrip(" \t") for value in message.get_all("Content-Length", [])}
     if len(lengths) > 1:
-        with pytest.raises(resolver.BadHeaderBlock) as refusal:
-            resolver.HeaderFields(io.BytesIO(block))
+        with pytest.raises(wire.BadHeaderBlock) as refusal:
+            wire.HeaderFields(io.BytesIO(block))
         assert refusal.value.status == 400
         return
-    fields = resolver.HeaderFields(io.BytesIO(block))
+    fields = wire.HeaderFields(io.BytesIO(block))
     for name in {name.decode("latin-1") for name in FIELD_NAMES}:
         value = message.get(name)
         assert (fields.get(name), name in fields) == \
@@ -533,8 +556,8 @@ def test_header_fields_read_as_the_email_parser_reads_them(lines):
 def test_a_malformed_header_line_is_a_400(before, line, after):
     """Any line in the block that is not a field line refuses the block,
     wherever it stands."""
-    with pytest.raises(resolver.BadHeaderBlock) as refusal:
-        resolver.HeaderFields(io.BytesIO(header_block(before + [(line, b"\r\n")] + after)))
+    with pytest.raises(wire.BadHeaderBlock) as refusal:
+        wire.HeaderFields(io.BytesIO(header_block(before + [(line, b"\r\n")] + after)))
     assert refusal.value.status == 400
 
 
@@ -545,6 +568,39 @@ def test_bind_failure_raises_os_error(hotel10):
         host, port = address(service)
         with pytest.raises(OSError):
             resolver.make_server(ResolverService(hotel10), host=host, port=port)
+
+
+def test_request_log_lines(hotel10):
+    """The lines a server passes to its `log_fn`: one per answer, and one
+    more before a refusal made ahead of the route for the request's line,
+    header block or method."""
+    lines = []
+    service = ResolverService(hotel10)
+    server = resolver.make_server(service, log_fn=lines.append)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        for request_line, *fields in [
+                (b"GET /api/search?per_page=1 HTTP/1.1", b"Connection: close"),
+                (b"GET /nope HTTP/1.1", b"Connection: close"),
+                (b"GET / HTTP/x",),
+                (b"PUT / HTTP/1.1",),
+                (b"POST /api/book HTTP/1.1", b"Content-Length: 999999")]:
+            exchange(service, head_block(request_line, b"Host: x", *fields), follow_up=False)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert lines == [
+        '"GET /api/search?per_page=1 HTTP/1.1" 200 -',
+        '"GET /nope HTTP/1.1" 404 -',
+        "code 400, message Bad request version ('HTTP/x')",
+        '"GET / HTTP/x" 400 -',
+        "code 501, message Unsupported method ('PUT')",
+        '"PUT / HTTP/1.1" 501 -',
+        '"POST /api/book HTTP/1.1" 413 -',
+    ]
 
 
 class TestHandlerThreads:
