@@ -132,6 +132,12 @@ def load_config(path: str) -> Config:
     for h in config.bench_heuristics:
         if h not in HEURISTIC_NAMES:
             raise ConfigError(f"unknown heuristic in bench config: {h!r}")
+    if not config.bench_n_values or min(config.bench_n_values) < 1:
+        raise ConfigError(f"bench n_values must be integers >= 1, at least one, "
+                          f"got {config.bench_n_values}")
+    if config.bench_flexible_dimension not in config.catalog().dimension_names:
+        raise ConfigError("bench flexible_dimension names no catalog dimension: "
+                          f"{config.bench_flexible_dimension!r}")
     return config
 
 
@@ -213,6 +219,8 @@ def cmd_crawl(config: Config, page_url: str, query: Sequence[str], book: bool,
     # `serve` and `generate` never load it.
     from .consumer import TransportError, hit_ratio_experiment, resolve
 
+    if experiment is not None and experiment < 1:
+        raise ConfigError(f"--experiment must be at least 1, got {experiment}")
     catalog = config.catalog()
     try:
         if experiment is not None:

@@ -37,7 +37,8 @@ from .heuristics import (
     NoAvailableVariation,
     available_variations,
 )
-from .wire import MAX_BODY_BYTES, MAX_LINE_BYTES, VERSION, BadHeaderBlock, HeaderFields, http_date
+from .wire import (MAX_BODY_BYTES, MAX_LINE_BYTES, VERSION, BadHeaderBlock, HeaderFields,
+                   http_date, keeps_alive)
 
 EPOCH_HEADER = "X-Inventory-Epoch"
 JSON_TYPE = "application/json; charset=utf-8"
@@ -45,10 +46,15 @@ MAX_PER_PAGE = 200
 DEFAULT_PER_PAGE = 50
 
 
-class BadSearchRequest(ValueError):
-    def __init__(self, message: str, offender: str):
+class Refusal(Exception):
+    """A request refused with `status`, raised where it is found and answered
+    by the connection loop with `{"error": message}` and the `extra` members.
+    A refusal of the request's head (its request line, header block or
+    method) is also logged."""
+
+    def __init__(self, status: int, message: str, of_head: bool = False, **extra):
         super().__init__(message)
-        self.offender = offender
+        self.status, self.of_head, self.extra = status, of_head, extra
 
 
 class StoredPage:
@@ -141,7 +147,7 @@ class ResolverService:
             try:
                 constraints[name] = parse_value(self.catalog, name, raw_value)
             except ValidationError as exc:
-                raise BadSearchRequest(str(exc), name) from exc
+                raise Refusal(400, str(exc), offender=name) from exc
         return constraints
 
     def search(self, raw_constraints: Dict[str, str], page: int = 1,
@@ -215,18 +221,18 @@ class ResolverService:
 
 def _parse_query(raw: str) -> Dict[str, str]:
     """A request's query string as a dict; a parameter given more than once
-    is a BadSearchRequest naming it."""
+    is refused with a 400 naming it."""
     query: Dict[str, str] = {}
     for name, value in parse_qsl(raw, keep_blank_values=True):
         if name in query:
-            raise BadSearchRequest(f"parameter {name!r} given more than once", name)
+            raise Refusal(400, f"parameter {name!r} given more than once", offender=name)
         query[name] = value
     return query
 
 
 def _parse_paging(query: Dict[str, str]) -> Tuple[int, int]:
     """Pop `page` and `per_page` off a request's query and check them; a
-    BadSearchRequest names the parameter at fault."""
+    400 names the parameter at fault."""
     def integer(name: str, default: int, high: float) -> int:
         try:
             value = parse_integer(query.pop(name, str(default)))
@@ -234,7 +240,7 @@ def _parse_paging(query: Dict[str, str]) -> Tuple[int, int]:
                 return value
         except ValueError:
             pass
-        raise BadSearchRequest(f"{name} must be an integer in [1, {high}]", name)
+        raise Refusal(400, f"{name} must be an integer in [1, {high}]", offender=name)
 
     return (integer("page", 1, float("inf")),
             integer("per_page", DEFAULT_PER_PAGE, MAX_PER_PAGE))
@@ -247,7 +253,8 @@ def _json_bytes(doc) -> bytes:
 class ResolverHandler:
     """One connection's requests, read and answered in turn until it closes.
     A route, `do_<METHOD>`, answers from `command`, `path`, `headers` and
-    `body`, and may set `close_connection`."""
+    `body`, and may set `close_connection`; a request it refuses, it raises
+    as a `Refusal`."""
 
     def __init__(self, connection: socket.socket, server: ResolverServer):
         self.connection, self.server = connection, server
@@ -265,90 +272,77 @@ class ResolverHandler:
 
     def handle(self):
         """Read a request, route it, and again while the connection is kept
-        alive."""
+        alive. A refusal, wherever it was raised, is answered here."""
         with self.rfile:
             self.close_connection = False
             while not self.close_connection:
                 self.close_connection = True
-                if not self._read_request():
-                    continue
-                route = getattr(self, "do_" + self.command, None)
-                if route is None:
-                    self.send_error(501, f"Unsupported method ({self.command!r})")
-                else:
-                    route()
+                try:
+                    route = self._read_request()
+                    if route is not None:
+                        route()
+                except Refusal as refusal:
+                    if refusal.of_head:
+                        self._log(f"code {refusal.status}, message {refusal}")
+                    self._json(refusal.status, {"error": str(refusal), **refusal.extra},
+                               self.service.epoch)
 
-    def _read_request(self) -> bool:
+    def _read_request(self) -> Optional[Callable[[], None]]:
         """Read the request line, method, target and version (RFC 9112 §3),
         after one empty line if one comes first (§2.2), then the header
         block, which holds `Host` from HTTP/1.1 on, and then the body. The
         body is framed by `Content-Length` alone whatever the method (§6.3),
         so a GET's or HEAD's is read and dropped, never served as the next
-        request. Returns whether the request goes on to its route; when it
-        does not, any answer has been sent, and a refused body stays unread."""
+        request. Returns the request's route, or None at the end of the
+        stream. A refusal raised here closes the connection, and a refused
+        body stays unread."""
         self.requestline, self.command = "", None
         line = self.rfile.readline(MAX_LINE_BYTES + 1)
         if line in (b"\r\n", b"\n"):
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
         if not line:
-            return False
+            return None
         if len(line) > MAX_LINE_BYTES:
-            self.send_error(414)
-            return False
+            raise Refusal(414, HTTPStatus(414).phrase, of_head=True)
         self.requestline = str(line, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
         if len(words) != 3:
-            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
-            return False
+            raise Refusal(400, f"Bad request syntax ({self.requestline!r})", of_head=True)
         command, path, version = words
         match = VERSION.fullmatch(version)
         if match is None:
-            self.send_error(400, f"Bad request version ({version!r})")
-            return False
+            raise Refusal(400, f"Bad request version ({version!r})", of_head=True)
         number = int(match[1]), int(match[2])
         if number >= (2, 0):
-            self.send_error(505, f"Invalid HTTP version ({version[5:]})")
-            return False
+            raise Refusal(505, f"Invalid HTTP version ({version[5:]})", of_head=True)
         if path.startswith("//"):  # a client would read it as another host
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
         try:
             self.headers = HeaderFields(self.rfile)
         except BadHeaderBlock as exc:
-            self.send_error(exc.status, str(exc))
-            return False
+            raise Refusal(exc.status, str(exc), of_head=True) from exc
         if number >= (1, 1) and "Host" not in self.headers:  # RFC 9112 §3.2
-            self.send_error(400, "An HTTP/1.1 request needs a Host field")
-            return False
-        connection = self.headers.get("Connection", "").lower()
-        self.close_connection = (connection == "close" if number >= (1, 1)
-                                 else connection != "keep-alive")
-        if self.headers.get("Expect", "").lower() == "100-continue" and number >= (1, 1):
-            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            raise Refusal(400, "An HTTP/1.1 request needs a Host field", of_head=True)
+        if "Transfer-Encoding" in self.headers:
+            raise Refusal(411, "a request body needs Content-Length, not Transfer-Encoding")
         try:
             length = parse_integer(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
-        refusal = ((411, "a request body needs Content-Length, not Transfer-Encoding")
-                   if "Transfer-Encoding" in self.headers else
-                   (400, "Content-Length must be a non-negative integer") if length < 0 else
-                   (413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-                   if length > MAX_BODY_BYTES else None)
-        if refusal is not None:
-            self.close_connection = True
-            self._error(*refusal)
-            return False
+        if length < 0:
+            raise Refusal(400, "Content-Length must be a non-negative integer")
+        if length > MAX_BODY_BYTES:
+            raise Refusal(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        # Only a body that will be read is invited (RFC 9110 §10.1.1).
+        if self.headers.get("Expect", "").lower() == "100-continue" and number >= (1, 1):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         self.body = self.rfile.read(length)
-        return True
-
-    def send_error(self, code: int, message: Optional[str] = None):
-        """Answer a request refused before its route, whether for its request
-        line, its header block or its method, as a route answers an error.
-        The connection then closes."""
-        message = message or HTTPStatus(code).phrase
-        self._log(f"code {code}, message {message}")
-        self.close_connection = True
-        self._error(code, message)
+        route = getattr(self, "do_" + command, None)
+        if route is None:
+            raise Refusal(501, f"Unsupported method ({command!r})", of_head=True)
+        self.close_connection = not keeps_alive(number, self.headers)
+        return route
 
     def _respond(self, status: int, body: bytes | StoredPage, content_type: str, epoch: int):
         """Put the whole response on the wire in one send. Sent in two, the
@@ -379,9 +373,6 @@ class ResolverHandler:
     def _json(self, status: int, doc, epoch: int):
         self._respond(status, _json_bytes(doc), JSON_TYPE, epoch)
 
-    def _error(self, status: int, message: str, **extra):
-        self._json(status, {"error": message, **extra}, self.service.epoch)
-
     # -- routes --------------------------------------------------------------
 
     def do_GET(self):
@@ -391,47 +382,35 @@ class ResolverHandler:
         elif url.path == "/api/search":
             self._get_search(url.query)
         else:
-            self._error(404, f"no such path {url.path!r}")
+            raise Refusal(404, f"no such path {url.path!r}")
 
     do_HEAD = do_GET
 
     def _get_page(self, heuristic: str, raw_query: str):
         if heuristic not in HEURISTIC_NAMES:
-            self._error(404, f"unknown heuristic {heuristic!r}")
-            return
+            raise Refusal(404, f"unknown heuristic {heuristic!r}")
+        query = _parse_query(raw_query)
+        unknown = [name for name in query if name not in ("page", "per_page")]
+        if unknown:
+            raise Refusal(400, f"unknown parameter {unknown[0]!r}", offender=unknown[0])
         try:
-            query = _parse_query(raw_query)
-            unknown = [name for name in query if name not in ("page", "per_page")]
-            if unknown:
-                raise BadSearchRequest(f"unknown parameter {unknown[0]!r}", unknown[0])
             # Either paging parameter on its own selects a paginated page.
             body, epoch = (self.service.page_html(heuristic, *_parse_paging(query)) if query
                            else self.service.bulk_page(heuristic))
-        except BadSearchRequest as exc:
-            self._error(400, str(exc), offender=exc.offender)
-            return
         except MaterializationCapExceeded as exc:
-            self._error(422, str(exc), count=exc.count, cap=exc.cap)
-            return
+            raise Refusal(422, str(exc), count=exc.count, cap=exc.cap) from exc
         except NoAvailableVariation as exc:
-            self._error(422, str(exc))
-            return
+            raise Refusal(422, str(exc)) from exc
         except PageNotFound as exc:
-            self._error(404, str(exc))
-            return
+            raise Refusal(404, str(exc)) from exc
         except OSError as exc:
-            self._error(503, f"page could not be stored: {exc}")
-            return
+            raise Refusal(503, f"page could not be stored: {exc}") from exc
         self._respond(200, body, "text/html; charset=utf-8", epoch)
 
     def _get_search(self, raw_query: str):
-        try:
-            query = _parse_query(raw_query)
-            page, per_page = _parse_paging(query)
-            offers, total, epoch = self.service.search(query, page, per_page)
-        except BadSearchRequest as exc:
-            self._error(400, str(exc), offender=exc.offender)
-            return
+        query = _parse_query(raw_query)
+        page, per_page = _parse_paging(query)
+        offers, total, epoch = self.service.search(query, page, per_page)
         self._json(200, {"offers": offers, "total_count": total,
                          "page": page, "per_page": per_page}, epoch)
 
@@ -439,16 +418,14 @@ class ResolverHandler:
         url = urlparse(self.path)
         try:
             body = json.loads(self.body or b"{}")
-            if not isinstance(body, dict):
-                raise ValueError("body must be a JSON object")
-        except (ValueError, json.JSONDecodeError):
-            self._error(400, "malformed JSON body")
-            return
+        except (ValueError, RecursionError):  # nested too deep for the decoder
+            body = None
+        if not isinstance(body, dict):
+            raise Refusal(400, "malformed JSON body")
         if url.path == "/api/book":
             canonical_id = body.get("canonical_id")
             if not isinstance(canonical_id, str) or not canonical_id:
-                self._error(400, "canonical_id (string) required")
-                return
+                raise Refusal(400, "canonical_id (string) required")
             result = self.service.book(canonical_id)
             self._json(200, {"status": result.status,
                              "canonical_id": result.canonical_id,
@@ -457,11 +434,10 @@ class ResolverHandler:
             try:
                 epoch = self.service.reset(body.get("seed"))
             except CatalogError as exc:
-                self._error(400, str(exc))
-                return
+                raise Refusal(400, str(exc)) from exc
             self._json(200, {"epoch": epoch}, epoch)
         else:
-            self._error(404, f"no such path {url.path!r}")
+            raise Refusal(404, f"no such path {url.path!r}")
 
 
 class ResolverServer:

@@ -1,6 +1,7 @@
 """HTTP/1.1 as both ends of matpub speak it (RFC 9112): the limits, the
-header-field reader, the request-line and status-line grammars, the `Date`
-field's value and a response's body framing."""
+header-field reader, the request-line and status-line grammars, the rule
+for when a connection persists, the `Date` field's value and a response's
+body framing."""
 from __future__ import annotations
 
 import re
@@ -82,6 +83,19 @@ class HeaderFields:
         return name.lower() in self._values
 
 
+def keeps_alive(version: Tuple[int, int], fields: HeaderFields) -> bool:
+    """Whether the connection persists after a message of `version` with
+    these fields (RFC 9112 §9.3): not if `Connection` lists `close`, and
+    otherwise from HTTP/1.1 on, or before it if `Connection` lists
+    `keep-alive`. The field is a comma-separated list of options, matched
+    without regard to case (RFC 9110 §7.6.1)."""
+    connection = fields.get("Connection")
+    if connection is None:
+        return version >= (1, 1)
+    options = {option.strip(" \t").lower() for option in connection.split(",")}
+    return "close" not in options and (version >= (1, 1) or "keep-alive" in options)
+
+
 def read_response(rfile: BinaryIO, method: str) -> Tuple[int, bytes, bool]:
     """(status, body, whether the connection ends) of the final answer to a
     request of `method`, framed by RFC 9112 §6.3. Interim 1xx answers are
@@ -98,9 +112,7 @@ def read_response(rfile: BinaryIO, method: str) -> Tuple[int, bytes, bool]:
         except BadHeaderBlock as exc:
             raise BadResponse(f"malformed head: {exc}") from exc
         status = int(match[2])
-    connection = fields.get("Connection", "").lower()
-    closes = ("close" in connection if match[1] != b"0"
-              else "keep-alive" not in connection)
+    closes = not keeps_alive((1, int(match[1])), fields)
     if method == "HEAD" or status in (204, 304):
         return status, b"", closes
     coding = fields.get("Transfer-Encoding")

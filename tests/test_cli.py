@@ -265,6 +265,14 @@ class TestCrawl:
         assert summary["n_queries"] == 10
         assert summary["hit_ratio"] == 1.0
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_experiment_of_no_queries_is_exit_1(self, workdir, capsys, count):
+        assert main(["crawl", "--config", str(workdir / "config.json"),
+                     "--page-url", "http://127.0.0.1:1/page/full",
+                     "--experiment", count]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err, err
+
     def test_unreachable_server_is_exit_3(self, workdir):
         code = main(["crawl", "--config", str(workdir / "config.json"),
                      "--page-url", "http://127.0.0.1:1/page/full",
@@ -286,6 +294,20 @@ class TestBench:
         assert main(["bench", "--config", str(workdir / "config.json"),
                      "--gnuplot"]) == 0
         assert (workdir / "bench.gp").exists()
+
+    # Refused when the config is loaded, before any sweep runs.
+    @pytest.mark.parametrize("bench", [
+        {"flexible_dimension": "nights"},
+        {"n_values": [2, 0]},
+        {"n_values": []},
+    ], ids=["unknown-flexible-dimension", "n-below-1", "no-n-values"])
+    def test_bad_bench_value_is_exit_1(self, workdir, capsys, bench):
+        defaults = json.loads((workdir / "config.json").read_text())["bench"]
+        config = write_config(workdir, bench={**defaults, **bench})
+        assert main(["bench", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err, err
+        assert not (workdir / "bench.csv").exists()
 
     def test_capped_sweep_still_succeeds(self, workdir):
         config = write_config(

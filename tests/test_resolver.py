@@ -397,6 +397,13 @@ class TestRequestLayer:
                                         b"Connection: close"),
                              True, [200]),
         "http-1.0": (head_block(b"GET /page/abstraction HTTP/1.0"), True, [200]),
+        # `Connection` is a list of options (RFC 9112 §9.3, §9.6).
+        "connection-te-close": (head_block(b"GET /api/search?per_page=1 HTTP/1.1", b"Host: x",
+                                           b"Connection: TE, close"),
+                                True, [200]),
+        "http-1.0-keep-alive-te": (head_block(b"GET /api/search?per_page=1 HTTP/1.0",
+                                              b"Connection: Keep-Alive, TE"),
+                                   False, [200]),
         # HTTP/1.1 requires Host (RFC 9112 §3.2); the booking is not read.
         "no-host": (head_block(b"POST /api/book HTTP/1.1", b"Content-Type: application/json",
                                b"Content-Length: %d" % len(BOOKING)) + BOOKING.encode(),
@@ -404,6 +411,13 @@ class TestRequestLayer:
         "expect-100-continue": (book_request(b"Expect: 100-continue",
                                              b"Content-Length: %d" % len(BOOKING)),
                                 False, [100, 200]),
+        # A body that will not be read is not invited (RFC 9110 §10.1.1).
+        "expect-100-continue-over-cap": (book_request(b"Expect: 100-continue",
+                                                      b"Content-Length: 999999", body=b""),
+                                         True, [413]),
+        # Nested too deep for the JSON decoder: a 400 like any malformed body.
+        "deeply-nested-json-body": (book_request(b"Content-Length: 65536", body=b"[" * 65536),
+                                    False, [400]),
         "content-length-plus-sign": (book_request(b"Content-Length: +%d" % len(BOOKING)),
                                      True, [400]),
         # Content-Length fields of different values frame the body two ways
@@ -580,13 +594,25 @@ def test_request_log_lines(hotel10):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        for request_line, *fields in [
-                (b"GET /api/search?per_page=1 HTTP/1.1", b"Connection: close"),
-                (b"GET /nope HTTP/1.1", b"Connection: close"),
-                (b"GET / HTTP/x",),
-                (b"PUT / HTTP/1.1",),
-                (b"POST /api/book HTTP/1.1", b"Content-Length: 999999")]:
-            exchange(service, head_block(request_line, b"Host: x", *fields), follow_up=False)
+        for request in [
+                head_block(b"GET /api/search?per_page=1 HTTP/1.1", b"Host: x",
+                           b"Connection: close"),
+                head_block(b"GET /nope HTTP/1.1", b"Host: x", b"Connection: close"),
+                head_block(b"GET / HTTP/x", b"Host: x"),
+                head_block(b"PUT / HTTP/1.1", b"Host: x"),
+                head_block(b"POST /api/book HTTP/1.1", b"Host: x", b"Content-Length: 999999"),
+                head_block(b"POST /api/book HTTP/1.1", b"Host: x", b"Transfer-Encoding: chunked"),
+                head_block(b"POST /api/book HTTP/1.1", b"Host: x", b"Content-Length: +5"),
+                head_block(b"GET /api/search HTTP/1.1", b"Host: x",
+                           *[b"X-%d: 1" % i for i in range(120)]),
+                head_block(b"GET /api/search?per_page=0 HTTP/1.1", b"Host: x",
+                           b"Connection: close"),
+                head_block(b"GET /page/full?page=9999 HTTP/1.1", b"Host: x",
+                           b"Connection: close"),
+                head_block(b"POST /api/book HTTP/1.1", b"Host: x", b"Content-Length: 3",
+                           b"Connection: close") + b"[1]",
+                head_block(b"HEAD /api/search HTTP/1.1")]:
+            exchange(service, request, follow_up=False)
     finally:
         server.shutdown()
         server.server_close()
@@ -600,6 +626,15 @@ def test_request_log_lines(hotel10):
         "code 501, message Unsupported method ('PUT')",
         '"PUT / HTTP/1.1" 501 -',
         '"POST /api/book HTTP/1.1" 413 -',
+        '"POST /api/book HTTP/1.1" 411 -',
+        '"POST /api/book HTTP/1.1" 400 -',
+        "code 431, message Too many headers",
+        '"GET /api/search HTTP/1.1" 431 -',
+        '"GET /api/search?per_page=0 HTTP/1.1" 400 -',
+        '"GET /page/full?page=9999 HTTP/1.1" 404 -',
+        '"POST /api/book HTTP/1.1" 400 -',
+        "code 400, message An HTTP/1.1 request needs a Host field",
+        '"HEAD /api/search HTTP/1.1" 400 -',
     ]
 
 

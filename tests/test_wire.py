@@ -1,6 +1,8 @@
 import email.utils
+import io
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,3 +23,31 @@ def test_date_is_for_now():
     value = wire.http_date()
     after = int(time.time())
     assert value in {email.utils.formatdate(t, usegmt=True) for t in range(before, after + 1)}
+
+
+@pytest.mark.parametrize("version, connection, kept", [
+    ((1, 1), None, True),
+    ((1, 1), "", True),
+    ((1, 1), "keep-alive", True),
+    ((1, 1), "TE", True),
+    ((1, 1), "closed", True),
+    ((1, 1), "close", False),
+    ((1, 1), "CLOSE", False),
+    ((1, 1), "TE, close", False),
+    ((1, 1), "close, TE", False),
+    ((1, 1), "keep-alive,close", False),
+    ((1, 0), None, False),
+    ((1, 0), "TE", False),
+    ((1, 0), "keep-alived", False),
+    ((1, 0), "keep-alive", True),
+    ((1, 0), "Keep-Alive, TE", True),
+    ((1, 0), "TE,\tkeep-alive", True),
+    ((1, 0), "keep-alive, close", False),
+])
+def test_keeps_alive(version, connection, kept):
+    """`Connection` is read as a list of options without regard to case; a
+    `close` ends any connection, and HTTP/1.0 persists only on `keep-alive`
+    (RFC 9112 §9.3)."""
+    block = b"" if connection is None else b"Connection: %s\r\n" % connection.encode()
+    fields = wire.HeaderFields(io.BytesIO(block + b"\r\n"))
+    assert wire.keeps_alive(version, fields) is kept
