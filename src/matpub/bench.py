@@ -297,9 +297,12 @@ plot for [h in "{heuristics}"] \\
 def emit_gnuplot(csv_path: str, gp_path: str, heuristics: Sequence[str] = HEURISTIC_NAMES):
     """Companion gnuplot script: payload vs n on linear and log axes."""
     stem = csv_path.rsplit(".", 1)[0]
-    with open(gp_path, "w", encoding="utf-8") as fh:
-        fh.write(GNUPLOT_TEMPLATE.format(stem=stem, csv=csv_path,
-                                         heuristics=" ".join(heuristics)))
+    try:
+        with open(gp_path, "w", encoding="utf-8") as fh:
+            fh.write(GNUPLOT_TEMPLATE.format(stem=stem, csv=csv_path,
+                                             heuristics=" ".join(heuristics)))
+    except OSError as exc:
+        raise BenchError(f"cannot write gnuplot script to {gp_path!r}: {exc}") from exc
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float, float]:

@@ -132,6 +132,8 @@ def load_config(path: str) -> Config:
     for h in config.bench_heuristics:
         if h not in HEURISTIC_NAMES:
             raise ConfigError(f"unknown heuristic in bench config: {h!r}")
+    if not config.bench_heuristics:
+        raise ConfigError("bench heuristics must name at least one heuristic")
     if not config.bench_n_values or min(config.bench_n_values) < 1:
         raise ConfigError(f"bench n_values must be integers >= 1, at least one, "
                           f"got {config.bench_n_values}")
@@ -241,8 +243,13 @@ def cmd_crawl(config: Config, page_url: str, query: Sequence[str], book: bool,
 
 
 def cmd_bench(config: Config, gnuplot: bool = False) -> int:
-    from .bench import SweepConfig, emit_csv, emit_gnuplot, run_sweep
+    from .bench import BenchError, SweepConfig, emit_csv, emit_gnuplot, run_sweep
 
+    out = config.bench_output_path
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):  # refused before the sweep, not after it
+        _log(f"config error: bench output_path directory not found: {directory!r}")
+        return EXIT_CONFIG
     sweep = SweepConfig(
         n_values=config.bench_n_values,
         heuristics=config.bench_heuristics,
@@ -253,11 +260,15 @@ def cmd_bench(config: Config, gnuplot: bool = False) -> int:
     records, warnings = run_sweep(config.catalog(), sweep, config.policies)
     for warning in warnings:
         _log(f"warning: {warning}")
-    out = config.bench_output_path
-    emit_csv(records, out)
-    emit_csv(records, out.rsplit(".", 1)[0] + ".extended.csv", extended=True)
-    if gnuplot:
-        emit_gnuplot(out, out.rsplit(".", 1)[0] + ".gp", config.bench_heuristics)
+    stem = out.rsplit(".", 1)[0]
+    try:
+        emit_csv(records, out)
+        emit_csv(records, stem + ".extended.csv", extended=True)
+        if gnuplot:
+            emit_gnuplot(out, stem + ".gp", config.bench_heuristics)
+    except BenchError as exc:
+        _log(str(exc))
+        return EXIT_CONFIG
     print(f"{'heuristic':<15}{'n':>7}{'count':>10}{'payload_B':>12}{'gen_ms':>10}")
     for record in sorted(records, key=lambda r: (r.heuristic, r.n)):
         payload = "capped" if record.capped else str(record.payload_bytes)

@@ -312,7 +312,7 @@ class ResolverHandler:
         match = VERSION.fullmatch(version)
         if match is None:
             raise Refusal(400, f"Bad request version ({version!r})", of_head=True)
-        number = int(match[1]), int(match[2])
+        self.version = number = int(match[1]), int(match[2])
         if number >= (2, 0):
             raise Refusal(505, f"Invalid HTTP version ({version[5:]})", of_head=True)
         if path.startswith("//"):  # a client would read it as another host
@@ -348,10 +348,14 @@ class ResolverHandler:
         """Put the whole response on the wire in one send. Sent in two, the
         body would wait on a kept-alive connection until the client's delayed
         ACK of the headers (Nagle's algorithm), about 40 ms. A response after
-        which the connection closes says so (RFC 9112 §9.6)."""
+        which the connection closes says so (RFC 9112 §9.6), and so does one
+        to an HTTP/1.0 request after which it persists (§9.3)."""
         size = len(body) if isinstance(body, bytes) else body.size
         self._log(f'"{self.requestline}" {status} -')
-        connection = "Connection: close\r\n" if self.close_connection else ""
+        if self.close_connection:
+            connection = "Connection: close\r\n"
+        else:
+            connection = "Connection: keep-alive\r\n" if self.version < (1, 1) else ""
         head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
                 f"Server: matpub\r\nDate: {http_date()}\r\n{connection}"
                 f"Content-Type: {content_type}\r\nContent-Length: {size}\r\n"

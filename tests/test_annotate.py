@@ -265,6 +265,17 @@ class TestConformity:
         assert not report.conforms
         assert any(kind == "annotation" for kind, _ in report.orphans)
 
+    def test_anchor_spelled_like_a_malformed_label_is_an_anchor(self):
+        """A malformed block is labelled `<malformed-N>` in the report only,
+        so a block whose anchor reads so still finds its element."""
+        page = ('<div class="product" id="&lt;malformed-1&gt;"></div>\n'
+                '<script type="application/ld+json">{"@id":"#<malformed-1>"}</script>\n'
+                '<script type="application/ld+json">[1]</script>\n')
+        report = conformity_check(page.encode("utf-8"))
+        assert report.orphans == [("annotation", "<malformed-1>")]
+        report = conformity_check(page.rsplit("<script", 1)[0].encode("utf-8"))
+        assert report.conforms and report.orphans == []
+
 
 class TestAnchors:
     def test_anchor_stable_and_distinct(self, eval_hotel):

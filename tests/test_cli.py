@@ -300,7 +300,8 @@ class TestBench:
         {"flexible_dimension": "nights"},
         {"n_values": [2, 0]},
         {"n_values": []},
-    ], ids=["unknown-flexible-dimension", "n-below-1", "no-n-values"])
+        {"heuristics": []},
+    ], ids=["unknown-flexible-dimension", "n-below-1", "no-n-values", "no-heuristics"])
     def test_bad_bench_value_is_exit_1(self, workdir, capsys, bench):
         defaults = json.loads((workdir / "config.json").read_text())["bench"]
         config = write_config(workdir, bench={**defaults, **bench})
@@ -308,6 +309,33 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err, err
         assert not (workdir / "bench.csv").exists()
+
+    def test_output_directory_not_found_is_exit_1_before_the_sweep(self, workdir, capsys,
+                                                                   monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("matpub.bench.run_sweep", sweep)
+        defaults = json.loads((workdir / "config.json").read_text())["bench"]
+        missing = workdir / "missing"
+        config = write_config(workdir, bench={**defaults,
+                                              "output_path": str(missing / "bench.csv")})
+        assert main(["bench", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: bench output_path directory not found: {str(missing)!r}\n"
+        assert not missing.exists()
+
+    # A write that fails after the sweep is one line on stderr.
+    @pytest.mark.parametrize("blocked, message", [
+        ("bench.csv", "cannot write CSV to "),
+        ("bench.gp", "cannot write gnuplot script to "),
+    ], ids=["csv", "gnuplot"])
+    def test_failed_write_is_exit_1(self, workdir, capsys, blocked, message):
+        (workdir / blocked).mkdir()  # a directory where the file should go
+        assert main(["bench", "--config", str(workdir / "config.json"), "--gnuplot"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     def test_capped_sweep_still_succeeds(self, workdir):
         config = write_config(
@@ -357,6 +385,16 @@ class TestServeImports:
                               timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["matpub.resolver"]
+
+    def test_importing_matpub_loads_no_html_parser(self):
+        """`annotate.PageScanner` imports `html.parser` only for a page that
+        holds markup its patterns do not read."""
+        script = ("import sys\nimport matpub.cli, matpub.consumer, matpub.bench\n"
+                  "print('html.parser' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=SUBPROCESS_ENV, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_serving_loads_no_client(self, workdir):
         script = ("import sys\nfrom matpub.cli import main\n"

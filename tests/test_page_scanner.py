@@ -1,13 +1,21 @@
 """`annotate.PageScanner` against its `HTMLParser` oracle on generated pages,
-fed in random pieces. The scanner follows the tokenizer of Python 3.11's
-`html.parser`; later releases changed how it reads some malformed markup."""
+fed in random pieces. The scanner's patterns follow the tokenizer of Python
+3.11's `html.parser` for the markup they read; every other token is read by
+the running Python's `html.parser` itself."""
+import dataclasses
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matpub.annotate import ConformityScanner, PageScanner
+from matpub import annotate
+from matpub.annotate import ConformityScanner, PageScanner, annotation_stream, render_page
+from matpub.catalog import Inventory
+from matpub.heuristics import HEURISTIC_NAMES, HeuristicError, HeuristicPolicies
 from reference_scanner import JsonLdScanner
+
+from conftest import catalog_strategy
 
 TAGS = ["div", "DIV", "Div", "p", "span", "section", "script", "SCRIPT", "Script",
         "style", "STYLE", "scripts", "h2", "br"]
@@ -161,6 +169,11 @@ def malformed(blocks):
        cuts=st.lists(st.integers(0, 10 ** 6), max_size=8))
 @example(fragments=['<div class="product" id="p-1">', '<script type="application/ld+json">',
                     '{"@id":"#p-1"}', "</script>"], cuts=[3, 40])
+# HTMLParser reads this start tag differently when the page is cut inside it.
+@example(fragments=['<style id=\n"a>b" class/>', 'text', 'product',
+                    '<div class="product extra" id="p-1">\n<h2>x</h2>\n</div>\n',
+                    '<script type="text/javascript">{"@id":"#p-1","@type":"Product"}'],
+         cuts=[168])
 def test_scanner_matches_html_parser(fragments, cuts):
     page = "".join(fragments)
     expected_blocks, expected_ids = oracle(page)
@@ -179,3 +192,50 @@ def test_scanner_matches_html_parser(fragments, cuts):
     assert conformity.element_ids == expected_ids
     assert conformity.malformed == malformed(expected_blocks)
     assert len(conformity.annotation_anchors) == len(expected_blocks)
+
+
+def scan(page_pieces):
+    blocks, ids = [], []
+    scanner = PageScanner(blocks.append, ids.append)
+    for piece in page_pieces:
+        scanner.feed(piece)
+    scanner.close()
+    return blocks, ids
+
+
+# HTMLParser raises AssertionError on a marked section with an unknown
+# keyword or none; the scanner reads it as a comment up to the next ">".
+@pytest.mark.parametrize("page, ids", [
+    ("<![foo]><div class='product' id='a'>", ["a"]),
+    ("<![ x", []),
+], ids=["unknown-keyword", "no-keyword"])
+def test_malformed_marked_section_is_a_comment(page, ids):
+    assert scan([page]) == ([], ids)
+
+
+def hand_over(*args):
+    raise AssertionError("a published page was handed to html.parser")
+
+
+PRODUCT_NAMES = ["Test product", "a < b & \"c\" > 'd' product", "<p>été</p>"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(catalog=catalog_strategy(max_dims=3, max_len=4), name=st.sampled_from(PRODUCT_NAMES),
+       size=st.integers(1, 97))
+def test_published_pages_stay_on_the_patterns(catalog, name, size):
+    """Every heuristic's page, fed in pieces of any one size, gives the whole
+    page's blocks and ids, and no token of it is handed to `html.parser`."""
+    catalog = dataclasses.replace(catalog, product_name=name)
+    snapshot, policies = Inventory.initial(catalog), HeuristicPolicies()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annotate, "_parse_with_html_parser", hand_over)
+        for heuristic in HEURISTIC_NAMES:
+            stream = annotation_stream(catalog, heuristic, snapshot, policies, "http://x")
+            try:
+                page = render_page(stream, catalog).decode("utf-8")
+            except HeuristicError:  # nothing to publish
+                continue
+            expected = oracle(page)
+            assert expected[0] and expected[1]
+            assert scan(page[i:i + size] for i in range(0, len(page), size)) == expected
